@@ -100,7 +100,7 @@ def _cmd_verify_creating(args, inputs, outputs) -> int:
     _require_k(args.k)
     text = _read(args.infile, inputs)
     family = parse_paths(text) if args.kind == "paths" else parse_matchings(text)
-    report = verify_pairwise_creating(family, 2 * args.k, threads=args.threads)
+    report = verify_pairwise_creating(family, 2 * args.k)
     if report.passed:
         print(f"ok {report.family_size} members, {report.pair_count} pairs create length {2 * args.k}")
         return 0
@@ -256,12 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for families of paths and matchings whose "
         "pairwise unions create fixed-length cycles.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for pairwise verification; results are identical for every value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="write deterministic families and graphs")
@@ -369,8 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     inputs: list[str] = []
     outputs: list[str] = []
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         code = args.handler(args, inputs, outputs)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

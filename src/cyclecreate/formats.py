@@ -30,7 +30,10 @@ def _header(lines: list[str], tag: str, fields: int) -> list[int]:
     parts = lines[0].split()
     if len(parts) != fields + 1 or parts[0] != tag:
         raise FormatError(f"line 1: expected '{tag}' header with {fields} fields, got {lines[0]!r}")
-    return [_int(token, 1) for token in parts[1:]]
+    values = [_int(token, 1) for token in parts[1:]]
+    if min(values) < 0:
+        raise FormatError(f"line 1: header fields must be nonnegative, got {lines[0]!r}")
+    return values
 
 
 def _body(lines: list[str], expected: int, what: str) -> list[str]:

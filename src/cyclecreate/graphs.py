@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Vertex = int
@@ -193,6 +194,20 @@ def _cycle_search(adj: Sequence[int], anchor: int, current: int, allowed: int, r
     return False
 
 
+def _has_cycle(adj: Sequence[int], length: int) -> bool:
+    # the anchor is the smallest vertex of the cycle, so it is at most n - length + 1
+    for anchor in range(1, len(adj) - length + 1):
+        # only vertices above the anchor may appear inside the cycle
+        if _cycle_search(adj, anchor, anchor, -1 << (anchor + 1), length - 1):
+            return True
+    return False
+
+
+def _creates(adj_a: Sequence[int], adj_b: Sequence[int], length: int) -> bool:
+    """The creating relation on two unchecked adjacency tuples of one size."""
+    return _has_cycle(list(map(or_, adj_a, adj_b)), length)
+
+
 def contains_cycle_of_length(g: LabeledGraph, length: int) -> bool:
     """Decide whether g has a simple cycle on exactly `length` vertices.
 
@@ -201,14 +216,7 @@ def contains_cycle_of_length(g: LabeledGraph, length: int) -> bool:
     """
     if length < 3:
         raise ValueError(f"cycle length must be at least 3, got {length}")
-    if length > g.n:
-        return False
-    adj = g.adjacency
-    for anchor in range(1, g.n + 1):
-        # only vertices above the anchor may appear inside the cycle
-        if _cycle_search(adj, anchor, anchor, -1 << (anchor + 1), length - 1):
-            return True
-    return False
+    return _has_cycle(g.adjacency, length)
 
 
 def cycles_of_length(g: LabeledGraph, length: int) -> Iterator[tuple[int, ...]]:
@@ -320,7 +328,9 @@ def is_creating(
     ga, gb = _as_graph(a), _as_graph(b)
     if ga.n != gb.n:
         raise ValueError(f"mismatched ground sets (n={ga.n} vs n={gb.n})")
-    return contains_cycle_of_length(union(ga, gb), length)
+    if length < 3:
+        raise ValueError(f"cycle length must be at least 3, got {length}")
+    return _creates(ga.adjacency, gb.adjacency, length)
 
 
 class UnionComponent(NamedTuple):
@@ -379,50 +389,27 @@ class FamilyReport:
 def verify_pairwise_creating(
     family: Iterable[LabeledGraph | HamPath | PerfectMatching],
     length: int,
-    threads: int = 1,
 ) -> FamilyReport:
     """Check that every pair of members creates a cycle on exactly `length` vertices.
 
     The scan order is lexicographic over index pairs (i, j) with i < j, and the
-    reported violation is the first pair in that order.  `threads` only chunks
-    the scan; the report is identical for every thread count.  An empty or
+    reported violation is the first pair in that order.  An empty or
     single-member family passes with zero pairs.
     """
     if length < 3:
         raise ValueError(f"cycle length must be at least 3, got {length}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     members = list(family)
     size = len(members)
     pair_count = size * (size - 1) // 2
     if size >= 2 and len({type(m) for m in members}) > 1:
         names = ", ".join(sorted({type(m).__name__ for m in members}))
         raise TypeError(f"family mixes kinds: {names}")
-    member_graphs = [_as_graph(m) for m in members]
-    if len({g.n for g in member_graphs}) > 1:
+    adjacencies = [_as_graph(m).adjacency for m in members]
+    if len({len(adj) for adj in adjacencies}) > 1:
         raise ValueError("family members live on different ground sets")
 
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    first: tuple[int, int] | None = None
-    if threads == 1 or len(pairs) < 2:
-        for i, j in pairs:
-            if not contains_cycle_of_length(union(member_graphs[i], member_graphs[j]), length):
-                first = (i, j)
-                break
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def first_violation_in(chunk: list[tuple[int, int]]) -> tuple[int, int] | None:
-            for i, j in chunk:
-                if not contains_cycle_of_length(union(member_graphs[i], member_graphs[j]), length):
-                    return (i, j)
-            return None
-
-        step = (len(pairs) + threads - 1) // threads
-        chunks = [pairs[s:s + step] for s in range(0, len(pairs), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(first_violation_in, chunks):
-                if result is not None:
-                    first = result
-                    break
-    return FamilyReport(first is None, size, length, pair_count, first)
+    for i, adj_i in enumerate(adjacencies):
+        for j in range(i + 1, size):
+            if not _creates(adj_i, adjacencies[j], length):
+                return FamilyReport(False, size, length, pair_count, (i, j))
+    return FamilyReport(True, size, length, pair_count, None)

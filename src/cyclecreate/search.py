@@ -13,13 +13,15 @@ import itertools
 import os
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graphs import (
     HamPath,
     LabeledGraph,
     PerfectMatching,
     Permutation,
+    _as_graph,
+    _creates,
     is_creating,
 )
 
@@ -154,20 +156,18 @@ class CompatibilityGraph:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
 
-def _relation_fn(objects: tuple, relation: int | str) -> Callable:
-    if objects and isinstance(objects[0], Permutation):
-        if relation != "reversing":
-            raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
-        return is_reversing
-    if not isinstance(relation, int):
-        raise ValueError(
-            f"paths, matchings, and graphs need an integer cycle length, got {relation!r}"
-        )
-
-    def creating(a, b) -> bool:
-        return is_creating(a, b, relation)
-
-    return creating
+def _creating_adjacencies(objs: tuple, length: int) -> list[tuple[int, ...]]:
+    """Adjacency masks of the objects, raising what the first failing
+    is_creating(objs[0], objs[j], length) raises; fewer than two objects form no pair."""
+    if len(objs) < 2:
+        return []
+    adjacencies = [_as_graph(o).adjacency for o in objs]
+    for adj in adjacencies[1:]:
+        if len(adj) != len(adjacencies[0]):
+            raise ValueError(f"mismatched ground sets (n={len(adjacencies[0]) - 1} vs n={len(adj) - 1})")
+        if length < 3:
+            raise ValueError(f"cycle length must be at least 3, got {length}")
+    return adjacencies
 
 
 def build_compatibility_graph(objects: Sequence, relation: int | str) -> CompatibilityGraph:
@@ -180,11 +180,24 @@ def build_compatibility_graph(objects: Sequence, relation: int | str) -> Compati
     if len({type(o) for o in objs}) > 1:
         names = ", ".join(sorted({type(o).__name__ for o in objs}))
         raise TypeError(f"objects mix kinds: {names}")
-    related = _relation_fn(objs, relation)
+    if objs and isinstance(objs[0], Permutation):
+        if relation != "reversing":
+            raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
+        items, related = objs, is_reversing
+    elif not isinstance(relation, int):
+        raise ValueError(
+            f"paths, matchings, and graphs need an integer cycle length, got {relation!r}"
+        )
+    else:
+        items = _creating_adjacencies(objs, relation)
+
+        def related(a, b) -> bool:
+            return _creates(a, b, relation)
+
     adjacency = [0] * len(objs)
-    for i in range(len(objs)):
-        for j in range(i + 1, len(objs)):
-            if related(objs[i], objs[j]):
+    for i, a in enumerate(items):
+        for j in range(i + 1, len(items)):
+            if related(a, items[j]):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return CompatibilityGraph(objs, tuple(adjacency), relation)
@@ -291,9 +304,10 @@ def _lex_least_clique(adjacency: Sequence[int], size: int) -> tuple[int, ...]:
 
 
 def _reverify(cg: CompatibilityGraph, witness: tuple[int, ...], expect_related: bool) -> None:
-    related = _relation_fn(cg.objects, cg.relation)
     for a, b in itertools.combinations(witness, 2):
-        if related(cg.objects[a], cg.objects[b]) != expect_related:
+        x, y = cg.objects[a], cg.objects[b]
+        related = is_reversing(x, y) if cg.relation == "reversing" else is_creating(x, y, cg.relation)
+        if related != expect_related:
             raise RuntimeError("internal error: witness failed re-verification against the relation")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import inf
 
@@ -35,6 +36,12 @@ def random_matching(rng, n):
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
     return PerfectMatching((labels[i], labels[i + 1]) for i in range(0, n, 2))
+
+
+def random_path(rng, n):
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return HamPath(labels)
 
 
 # ------------------------------------------------------------
@@ -216,6 +223,17 @@ def test_is_creating_path_examples():
     assert is_creating(HamPath((2, 1, 3, 4)), HamPath((1, 2, 3, 4)), 3)
 
 
+def test_is_creating_matches_union_oracle():
+    rng = random.Random(20215)
+    for trial in range(80):
+        n = rng.randint(3, 7)
+        p, q = random_path(rng, n), random_path(rng, n)
+        g, h = random_graph(rng, n, 0.4), random_graph(rng, n, 0.4)
+        for a, b, merged in ((p, q, union(p.graph, q.graph)), (g, h, union(g, h))):
+            for length in range(3, n + 1):
+                assert is_creating(a, b, length) == cycle_exists_oracle(merged, length), (a, b, length)
+
+
 def test_matching_union_component_structure():
     m1 = PerfectMatching([(1, 2), (3, 4), (5, 6)])
     m2 = PerfectMatching([(1, 2), (3, 5), (4, 6)])
@@ -270,13 +288,46 @@ def test_verify_pairwise_mixed_kind_and_ground_set_errors():
         verify_pairwise_creating([HamPath((1, 2, 3)), HamPath((1, 2, 3, 4))], 4)
     with pytest.raises(ValueError):
         verify_pairwise_creating([], 2)
-    with pytest.raises(ValueError):
-        verify_pairwise_creating([], 4, threads=0)
 
 
-def test_verify_pairwise_thread_counts_agree():
-    rng = random.Random(20214)
-    family = [random_matching(rng, 8) for _ in range(12)]
-    baseline = verify_pairwise_creating(family, 4, threads=1)
-    for threads in (2, 3, 7):
-        assert verify_pairwise_creating(family, 4, threads=threads) == baseline
+def naive_family_report(family, length):
+    graphs = [m.graph for m in family]
+    first = next(
+        (
+            (i, j)
+            for i, j in itertools.combinations(range(len(family)), 2)
+            if not cycle_exists_oracle(union(graphs[i], graphs[j]), length)
+        ),
+        None,
+    )
+    size = len(family)
+    return FamilyReport(first is None, size, length, size * (size - 1) // 2, first)
+
+
+def oracle_creating_family(rng, draw, length, attempts):
+    """Greedily keep random members that create with every member kept so far."""
+    family = []
+    for _ in range(attempts):
+        candidate = draw()
+        if all(
+            cycle_exists_oracle(union(candidate.graph, m.graph), length) for m in family
+        ):
+            family.append(candidate)
+    return family
+
+
+def test_verify_pairwise_matches_naive_scan():
+    rng = random.Random(20216)
+    for trial in range(40):
+        if trial % 2:
+            n, length = rng.choice([(6, 4), (7, 4), (7, 6)])
+            draw = lambda: random_path(rng, n)
+        else:
+            n, length = rng.choice([(6, 4), (6, 6), (8, 4)])
+            draw = lambda: random_matching(rng, n)
+        family = oracle_creating_family(rng, draw, length, 10)
+        for _ in range(rng.randint(0, 2)):  # planted duplicates break some pairs
+            family.insert(rng.randrange(len(family) + 1), rng.choice(family))
+        if trial % 5 == 0:  # so does a random stray
+            family.insert(rng.randrange(len(family) + 1), draw())
+        assert verify_pairwise_creating(family, length) == naive_family_report(family, length)

@@ -151,6 +151,10 @@ def test_build_compatibility_graph_kind_errors():
         build_compatibility_graph(enumerate_permutations(3), 4)
     with pytest.raises(ValueError, match="cycle length"):
         build_compatibility_graph(enumerate_perfect_matchings(4), "reversing")
+    k4 = PerfectMatching([(1, 2), (3, 4)])
+    k6 = PerfectMatching([(1, 2), (3, 4), (5, 6)])
+    with pytest.raises(ValueError, match=r"mismatched ground sets \(n=4 vs n=6\)"):
+        build_compatibility_graph([k4, k4, k6], 4)
 
 
 # ------------------------------------------------------------
