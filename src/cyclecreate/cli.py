@@ -27,7 +27,6 @@ from .constructions import (
 )
 from .counting import check_regular_matching_bound, count_perfect_matchings, permanent_ryser
 from .formats import (
-    FormatError,
     format_graph,
     format_matchings,
     format_paths,
@@ -357,19 +356,19 @@ _SKIP_PARAMS = frozenset({"handler", "command_path", "command", "subcommand"})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     start = time.monotonic()
     inputs: list[str] = []
     outputs: list[str] = []
     try:
-        code = args.handler(args, inputs, outputs)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed a usage error or the help text
+        args, code = argparse.Namespace(command_path=None), exc.code
+    else:
+        try:
+            code = args.handler(args, inputs, outputs)
+        except (ValueError, TypeError, OSError) as exc:  # FormatError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
     manifest = {
         "command": args.command_path,
         "parameters": {

@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from operator import add, sub
 from typing import Iterable
 
 from .constructions import validate_c2kfree_bipartite_regular
@@ -57,41 +58,33 @@ def biadjacency(g: LabeledGraph) -> tuple[BiadjacencyMatrix, tuple[int, ...], tu
 
 
 def permanent_ryser(matrix: BiadjacencyMatrix) -> Entry:
-    """Permanent by inclusion-exclusion over column subsets.
+    """Permanent by Glynn's formula (Europ. J. Combin. 2010); the name is kept
+    for API stability.
 
-    Per(A) = (-1)^m * sum over nonempty S of (-1)^|S| * prod_i sum_{j in S}
-    a[i][j].  Subsets are walked in Gray code order so each step updates the m
-    row sums by a single column.
+    Per(A) = 2^-(m-1) * sum over sign vectors d with d[0] = +1 of
+    (prod_i d[i]) * prod_j sum_i d[i] a[i][j].  Gray code order flips one
+    row's sign per step, which moves the column sums by twice that row and
+    flips the sign of the term.  Integer matrices give an int.
     """
     m = matrix.m
     if m == 0:
         return 1
     rows = matrix.rows
-    sums: list[Entry] = [0] * m
-    total: Entry = 0
-    previous = 0
-    for counter in range(1, 1 << m):
-        code = counter ^ (counter >> 1)
-        flipped = code ^ previous
-        j = flipped.bit_length() - 1
-        if code & flipped:
-            for i in range(m):
-                sums[i] += rows[i][j]
+    doubled = [[2 * entry for entry in row] for row in rows[1:]]
+    sums = [sum(column) for column in zip(*rows)]
+    total = prod(sums)
+    negated = 0
+    for counter in range(1, 1 << (m - 1)):
+        low = counter & -counter
+        negated ^= low
+        step = sub if negated & low else add
+        sums = list(map(step, sums, doubled[low.bit_length() - 1]))
+        if counter & 1:
+            total -= prod(sums)
         else:
-            for i in range(m):
-                sums[i] -= rows[i][j]
-        previous = code
-        product: Entry = 1
-        for value in sums:
-            if not value:
-                product = 0
-                break
-            product *= value
-        if code.bit_count() & 1:
-            total -= product
-        else:
-            total += product
-    return total if m % 2 == 0 else -total
+            total += prod(sums)
+    scale = 1 << (m - 1)
+    return total // scale if isinstance(total, int) else total / scale
 
 
 def permanent_naive(matrix: BiadjacencyMatrix) -> Entry:

@@ -253,34 +253,41 @@ def cycles_of_length(g: LabeledGraph, length: int) -> Iterator[tuple[int, ...]]:
 def girth(g: LabeledGraph) -> int | float:
     """Length of a shortest cycle in g, or math.inf if g is a forest.
 
-    Breadth-first search from every vertex: a non-tree edge (u, w) seen from
-    source s witnesses a closed walk of length dist[u] + dist[w] + 1, every
-    such walk contains a cycle no longer than itself, and for a shortest cycle
-    the walk found from any of its vertices is the cycle itself.
+    Breadth-first search from each vertex s over the vertices above s, with
+    the visited set and each level as bitmasks.  At depth d an edge inside the
+    level closes a walk of length 2d + 1, and a vertex reached from two level
+    members one of length 2d + 2.  Each walk uses some edge once, so it holds
+    a cycle no longer than itself, and from the smallest vertex of a shortest
+    cycle the search finds one that short.
     """
     adj = g.adjacency
     best: int | float = inf
     for src in range(1, g.n + 1):
-        dist = {src: 0}
-        parent = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                continue
-            options = adj[u]
-            while options:
-                low = options & -options
-                options ^= low
-                v = low.bit_length() - 1
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    candidate = dist[u] + dist[v] + 1
-                    if candidate < best:
-                        best = candidate
+        best = _shortest_walk_from(adj, src, best)
+    return best
+
+
+def _shortest_walk_from(adj: Sequence[int], src: int, best: int | float) -> int | float:
+    unseen = -1 << (src + 1)  # the vertices above src
+    level = 1 << src
+    depth = 0
+    while level and 2 * depth + 1 < best:
+        reached = twice = 0
+        rest = level
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            if nbrs & level:
+                return 2 * depth + 1
+            fresh = nbrs & unseen
+            twice |= reached & fresh
+            reached |= fresh
+        if twice:
+            return 2 * depth + 2
+        unseen ^= reached
+        level = reached
+        depth += 1
     return best
 
 

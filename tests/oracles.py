@@ -14,6 +14,10 @@ from cyclecreate.graphs import LabeledGraph, Permutation
 
 def subset_has_hamiltonian_cycle(g: LabeledGraph, subset: tuple[int, ...]) -> bool:
     adj = g.adjacency
+    inside = sum(1 << v for v in subset)
+    # on a cycle through the whole subset every member has two neighbours in it
+    if any((adj[v] & inside).bit_count() < 2 for v in subset):
+        return False
     first = subset[0]
     for perm in itertools.permutations(subset[1:]):
         cycle = (first,) + perm

@@ -78,13 +78,49 @@ def test_permanent_routes_agree_all_binary_three_by_three():
 
 def test_permanent_routes_agree_random_integer_matrices():
     rng = random.Random(51002)
-    for m in (4, 5, 6):
-        for _ in range(40):
+    for m in range(1, 9):
+        for trial in range(40 if m <= 6 else 8):
             rows = [
-                tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(m)
+                [rng.randint(-3, 3) for _ in range(m)] for _ in range(m)
+            ]
+            if trial % 4 == 0:
+                rows[rng.randrange(m)] = [0] * m
+            matrix = BiadjacencyMatrix(rows)
+            result = permanent_ryser(matrix)
+            assert type(result) is int
+            assert result == permanent_naive(matrix), rows
+
+
+def test_permanent_routes_agree_random_fraction_matrices():
+    rng = random.Random(51003)
+    for m in range(1, 9):
+        for _ in range(10 if m <= 6 else 3):
+            rows = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(m)]
+                for _ in range(m)
             ]
             matrix = BiadjacencyMatrix(rows)
-            assert permanent_ryser(matrix) == permanent_naive(matrix)
+            assert permanent_ryser(matrix) == permanent_naive(matrix), rows
+
+
+# OEIS A000166 (derangements) and A000179 (menage numbers), m = 10, 11, 12
+DERANGEMENTS = {10: 1334961, 11: 14684570, 12: 176214841}
+MENAGE = {10: 439792, 11: 4890741, 12: 59216642}
+
+
+def zero_diagonals(m, offsets):
+    """J with zeros where (column - row) mod m is in offsets."""
+    return BiadjacencyMatrix(
+        [[0 if (j - i) % m in offsets else 1 for j in range(m)] for i in range(m)]
+    )
+
+
+def test_permanent_closed_forms_above_the_naive_limit():
+    for m in (10, 11, 12):
+        ones = permanent_ryser(zero_diagonals(m, ()))
+        assert type(ones) is int and ones == factorial(m)
+        assert permanent_ryser(zero_diagonals(m, (0,))) == DERANGEMENTS[m]
+        assert permanent_ryser(zero_diagonals(m, (0, 1))) == MENAGE[m]
 
 
 def test_permanent_of_uniform_doubly_stochastic():

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +311,22 @@ def test_cli_errors_exit_2_with_manifest(capsys, tmp_path):
     assert code == 2
     assert "error: line 2" in stderr
 
+    # argparse usage errors: an unknown option, no command, a missing required option
+    for argv in (["--threads", "2", "bounds", "--k", "2"], [], ["bounds"]):
+        code, stdout, stderr = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert stdout == ""
+        assert "usage: cyclecreate" in stderr
+        manifest = manifest_of(stderr)
+        assert manifest["exit_code"] == 2
+        assert manifest["command"] is None and manifest["parameters"] == {}
+        assert sum(row.startswith("{") for row in stderr.splitlines()) == 1
+
+    code, stdout, stderr = run_cli(capsys, ["--help"])
+    assert code == 0 and stdout.startswith("usage: cyclecreate")
+    manifest = json.loads(stderr)  # the manifest is all of stderr
+    assert manifest["command"] is None and manifest["exit_code"] == 0
+
 
 def test_cli_manifest_shape(capsys, tmp_path):
     out = tmp_path / "family.paths"
@@ -340,3 +359,28 @@ def test_module_entry_point_smoke():
     )
     assert usage.returncode == 2
     assert "usage" in usage.stderr
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_line_block_runs_as_written(tmp_path):
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## File formats")]
+    block = re.search(r"^```\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
+    commands = block.splitlines()
+    hand_written = dict(re.findall(r"^Write `([^`]+)`:\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL))
+    assert commands and set(hand_written) == {"pair.paths", "square.matrix"}
+    for name, body in hand_written.items():
+        (tmp_path / name).write_text(body)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for line in commands:
+        program, *argv = shlex.split(line)
+        assert program == "cyclecreate"
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclecreate", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert done.returncode == 0, (line, done.stderr)
+        (manifest,) = done.stderr.splitlines()
+        assert json.loads(manifest)["exit_code"] == 0, line

@@ -19,6 +19,7 @@ from cyclecreate.graphs import (
     union,
     verify_pairwise_creating,
 )
+from cyclecreate.constructions import projective_plane_incidence
 from oracles import all_cycles_oracle, cycle_exists_oracle
 
 
@@ -186,13 +187,73 @@ def test_girth_petersen():
     assert girth(petersen) == 5
 
 
+def test_girth_of_planes_and_a_rewired_plane():
+    for q in (2, 3, 5, 7):
+        assert girth(projective_plane_incidence(q).graph) == 6, q
+
+    # Swap two incidences so that points a and c share a second line: a and c
+    # meet on line x; take a line y through c but not a, a point b != c on y
+    # and a line z through a but through neither b nor c.
+    plane = projective_plane_incidence(5)
+    adj = plane.graph.adjacency
+    a, c = plane.points[:2]
+    y = next(line for line in plane.lines if adj[c] >> line & 1 and not adj[a] >> line & 1)
+    b = next(p for p in plane.points if p != c and adj[y] >> p & 1)
+    z = next(
+        line for line in plane.lines
+        if adj[a] >> line & 1 and not adj[b] >> line & 1 and not adj[c] >> line & 1
+    )
+    edges = (plane.graph.edges - {(a, z), (b, y)}) | {(a, y), (b, z)}
+    rewired = LabeledGraph(plane.graph.n, edges)
+    assert rewired.degrees() == plane.graph.degrees()
+    assert bipartition(rewired) == (plane.points, plane.lines)
+    assert girth(rewired) == 4
+
+
+def test_girth_when_the_shortest_cycle_avoids_small_labels():
+    c5_c7 = LabeledGraph(
+        12,
+        [(i, i + 1) for i in range(1, 5)] + [(1, 5)]
+        + [(i, i + 1) for i in range(6, 12)] + [(6, 12)],
+    )
+    assert girth(c5_c7) == 5
+    # vertex 1 lies on a 7-cycle only; the 5-cycle 8..12 hangs off vertex 7
+    hanging = LabeledGraph(
+        12,
+        [(i, i + 1) for i in range(1, 7)] + [(1, 7), (7, 8)]
+        + [(i, i + 1) for i in range(8, 12)] + [(8, 12)],
+    )
+    assert girth(hanging) == 5
+    # the 5-cycle 1..5 is not the shortest: 6, 7, 8 close a triangle
+    assert girth(LabeledGraph(8, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6), (6, 7), (7, 8), (6, 8)])) == 3
+
+
+def test_girth_of_forests_is_infinite():
+    assert girth(LabeledGraph(0)) == inf
+    assert girth(LabeledGraph(6)) == inf
+    rng = random.Random(20213)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        # each vertex joins at most one earlier vertex, so every component is a tree
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1) if rng.random() < 0.8]
+        assert girth(LabeledGraph(n, edges)) == inf, edges
+
+
 def test_girth_matches_shortest_cycle_oracle():
     rng = random.Random(20212)
-    for trial in range(60):
-        n = rng.randint(4, 8)
-        g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
-        lengths = [length for length in range(3, n + 1) if cycle_exists_oracle(g, length)]
-        expected = min(lengths) if lengths else inf
+    for trial in range(300):
+        n = rng.randint(4, 11)
+        if trial % 2:
+            g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+        else:
+            # a cycle on random labels plus up to two random edges, for long girths
+            cycle = rng.sample(range(1, n + 1), rng.randint(3, n))
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            edges += [rng.sample(range(1, n + 1), 2) for _ in range(rng.randint(0, 2))]
+            g = LabeledGraph(n, edges)
+        expected = next(
+            (length for length in range(3, n + 1) if cycle_exists_oracle(g, length)), inf
+        )
         assert girth(g) == expected, g.edges
 
 
