@@ -12,6 +12,7 @@ from .bounds import (
 from .constructions import (
     PlaneIncidence,
     ValidationReport,
+    build_noncreating_family,
     choose_plane_order,
     lower_bound_family,
     projective_plane_incidence,
@@ -21,10 +22,8 @@ from .counting import (
     BiadjacencyMatrix,
     MatchingBoundReport,
     biadjacency,
-    build_noncreating_family,
     check_regular_matching_bound,
     count_perfect_matchings,
-    enumerate_perfect_matchings_of,
     permanent_naive,
     permanent_ryser,
     van_der_waerden_bound,
@@ -39,6 +38,7 @@ from .graphs import (
     bipartition,
     contains_cycle_of_length,
     cycles_of_length,
+    enumerate_perfect_matchings_of,
     girth,
     is_creating,
     matching_union_components,

@@ -359,8 +359,13 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     inputs: list[str] = []
     outputs: list[str] = []
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse would read the value of an unknown leading option as the command
+        if argv and argv[0].startswith("-") and argv[0] != "-h" and not "--help".startswith(argv[0]):
+            parser.error(f"unrecognized arguments: {argv[0]}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed a usage error or the help text
         args, code = argparse.Namespace(command_path=None), exc.code
     else:

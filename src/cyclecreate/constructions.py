@@ -1,6 +1,7 @@
 """Deterministic families and graphs: slot-permuted path families, projective
-plane incidence graphs, and the bipartite/regular/girth screen used before
-treating a graph as free of short even cycles."""
+plane incidence graphs, the bipartite/regular/girth screen used before
+treating a graph as free of short even cycles, and the pairwise non-creating
+matching families of hosts that pass it."""
 
 from __future__ import annotations
 
@@ -8,7 +9,14 @@ import itertools
 from dataclasses import dataclass
 from math import isqrt
 
-from .graphs import HamPath, LabeledGraph, bipartition, girth
+from .graphs import (
+    HamPath,
+    LabeledGraph,
+    PerfectMatching,
+    bipartition,
+    enumerate_perfect_matchings_of,
+    girth,
+)
 
 
 def lower_bound_family(n: int, k: int) -> list[HamPath]:
@@ -132,3 +140,19 @@ def validate_c2kfree_bipartite_regular(g: LabeledGraph, k: int) -> ValidationRep
     g_girth = girth(g)
     passed = is_bipartite and is_regular and g_girth > 2 * k
     return ValidationReport(k, is_bipartite, is_regular, degree, g_girth, passed)
+
+
+def build_noncreating_family(g: LabeledGraph, k: int) -> list[PerfectMatching]:
+    """All perfect matchings of a validated C_{2k}-free bipartite regular graph.
+
+    The union of two matchings of g lives inside g, so if g has no cycle on 2k
+    vertices then no pair of the family creates one: the family is pairwise
+    non-creating by construction.
+    """
+    report = validate_c2kfree_bipartite_regular(g, k)
+    if not report.passed:
+        raise ValueError(
+            "graph fails the bipartite/regular/girth screen: "
+            f"bipartite={report.is_bipartite} regular={report.is_regular} girth={report.girth}"
+        )
+    return enumerate_perfect_matchings_of(g)

@@ -13,8 +13,8 @@ from math import factorial, prod
 from operator import add, sub
 from typing import Iterable
 
-from .constructions import validate_c2kfree_bipartite_regular
-from .graphs import LabeledGraph, PerfectMatching, bipartition
+from .graphs import LabeledGraph, bipartition
+from .graphs import enumerate_perfect_matchings_of  # noqa: F401  still importable from here
 
 Entry = int | Fraction
 
@@ -117,37 +117,6 @@ def count_perfect_matchings(g: LabeledGraph) -> int:
     return result
 
 
-def enumerate_perfect_matchings_of(g: LabeledGraph) -> list[PerfectMatching]:
-    """Every perfect matching of g, by lexicographic backtracking.
-
-    Deliberately independent of the permanent route; the two are compared in
-    tests.  A graph on an odd number of vertices has no perfect matchings.
-    """
-    if g.n % 2:
-        return []
-    adj = g.adjacency
-    out: list[PerfectMatching] = []
-    pairs: list[tuple[int, int]] = []
-
-    def extend(free: int) -> None:
-        if not free:
-            out.append(PerfectMatching(pairs))
-            return
-        low = free & -free
-        u = low.bit_length() - 1
-        options = adj[u] & (free ^ low)
-        while options:
-            pick = options & -options
-            options ^= pick
-            v = pick.bit_length() - 1
-            pairs.append((u, v))
-            extend(free ^ low ^ pick)
-            pairs.pop()
-
-    extend((1 << (g.n + 1)) - 2)
-    return out
-
-
 def van_der_waerden_bound(m: int) -> Fraction:
     """Minimum permanent m!/m^m of an m-by-m doubly stochastic matrix."""
     if m < 1:
@@ -192,19 +161,3 @@ def check_regular_matching_bound(g: LabeledGraph) -> MatchingBoundReport:
     return MatchingBoundReport(
         m, degree, count, bound, row_sums_ok and col_sums_ok, count >= bound
     )
-
-
-def build_noncreating_family(g: LabeledGraph, k: int) -> list[PerfectMatching]:
-    """All perfect matchings of a validated C_{2k}-free bipartite regular graph.
-
-    The union of two matchings of g lives inside g, so if g has no cycle on 2k
-    vertices then no pair of the family creates one: the family is pairwise
-    non-creating by construction.
-    """
-    report = validate_c2kfree_bipartite_regular(g, k)
-    if not report.passed:
-        raise ValueError(
-            "graph fails the bipartite/regular/girth screen: "
-            f"bipartite={report.is_bipartite} regular={report.is_regular} girth={report.girth}"
-        )
-    return enumerate_perfect_matchings_of(g)

@@ -1,4 +1,5 @@
-"""Immutable labeled graphs and exact fixed-length cycle detection.
+"""Immutable labeled graphs, exact fixed-length cycle detection, and perfect
+matching enumeration.
 
 Vertices are 1-based integer labels.  The graphs handled here are tiny
 (dozens of vertices), and every question is decided exactly by exhaustive
@@ -380,6 +381,37 @@ def matching_union_components(m1: PerfectMatching, m2: PerfectMatching) -> list[
             seen.add(current)
         components.append(UnionComponent("cycle", tuple(walk)))
     return components
+
+
+def enumerate_perfect_matchings_of(g: LabeledGraph) -> list[PerfectMatching]:
+    """Every perfect matching of g, by lexicographic backtracking.
+
+    Deliberately independent of the permanent route; the two are compared in
+    tests.  A graph on an odd number of vertices has no perfect matchings.
+    """
+    if g.n % 2:
+        return []
+    adj = g.adjacency
+    out: list[PerfectMatching] = []
+    pairs: list[tuple[int, int]] = []
+
+    def extend(free: int) -> None:
+        if not free:
+            out.append(PerfectMatching(pairs))
+            return
+        low = free & -free
+        u = low.bit_length() - 1
+        options = adj[u] & (free ^ low)
+        while options:
+            pick = options & -options
+            options ^= pick
+            v = pick.bit_length() - 1
+            pairs.append((u, v))
+            extend(free ^ low ^ pick)
+            pairs.pop()
+
+    extend((1 << (g.n + 1)) - 2)
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 independent set search over pairwise compatibility graphs.
 
 Compatibility graphs index their objects 0-based and store adjacency as
-bitmasks.  The clique solver is branch and bound with greedy coloring bounds;
-witnesses are always the lexicographically least optimal set and are
+bitmasks.  One decision search, branch and bound with greedy coloring bounds,
+answers "is there a clique of size t?".  The clique number is found by raising
+t from 1 until the search refuses, and the lexicographically least optimal
+witness is then built vertex by vertex with the same search.  Witnesses are
 re-verified against the defining relation before being returned.
 """
 
@@ -22,6 +24,7 @@ from .graphs import (
     Permutation,
     _as_graph,
     _creates,
+    enumerate_perfect_matchings_of,
     is_creating,
 )
 
@@ -88,21 +91,9 @@ def enumerate_perfect_matchings(n: int) -> list[PerfectMatching]:
     for odd in range(1, n, 2):
         count *= odd
     _check_enum_size(f"matchings on {n} vertices", count)
-    out: list[PerfectMatching] = []
-    pairs: list[tuple[int, int]] = []
-
-    def extend(available: list[int]) -> None:
-        if not available:
-            out.append(PerfectMatching(pairs))
-            return
-        first = available[0]
-        for idx in range(1, len(available)):
-            pairs.append((first, available[idx]))
-            extend(available[1:idx] + available[idx + 1:])
-            pairs.pop()
-
-    extend(list(range(1, n + 1)))
-    return out
+    return enumerate_perfect_matchings_of(
+        LabeledGraph(n, itertools.combinations(range(1, n + 1), 2))
+    )
 
 
 def enumerate_permutations(m: int) -> list[Permutation]:
@@ -226,31 +217,6 @@ def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[i
     return order, colors
 
 
-def _max_clique_bits(adjacency: Sequence[int], cand: int) -> tuple[int, int]:
-    """Exact maximum clique inside a candidate mask: (size, member mask)."""
-    best_size = 0
-    best_mask = 0
-
-    def expand(mask: int, size: int, cand: int) -> None:
-        nonlocal best_size, best_mask
-        if not cand:
-            if size > best_size:
-                best_size = size
-                best_mask = mask
-            return
-        order, colors = _color_order(cand, adjacency)
-        for idx in range(len(order) - 1, -1, -1):
-            if size + colors[idx] <= best_size:
-                return
-            v = order[idx]
-            bit = 1 << v
-            cand ^= bit
-            expand(mask | bit, size + 1, cand & adjacency[v])
-
-    expand(0, 0, cand)
-    return best_size, best_mask
-
-
 def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
     """Early-exit decision: does the candidate mask hold a clique of size target?"""
     if target <= 0:
@@ -278,11 +244,17 @@ def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
 
 
 def _lex_least_clique(adjacency: Sequence[int], size: int) -> tuple[int, ...]:
-    """A maximum clique that is lexicographically least as a sorted index tuple."""
-    if size == 0:
-        return ()
+    """A maximum clique that is lexicographically least as a sorted index tuple.
+
+    Both steps are decisions by _has_clique.  The clique number omega is found
+    by counting the target up from 1; the one call that fails proves that no
+    larger clique exists.  Vertices are then taken in index order whenever a
+    clique of the remaining size still fits among their common neighbours.
+    """
     full = (1 << size) - 1
-    omega, _ = _max_clique_bits(adjacency, full)
+    omega = 0
+    while _has_clique(adjacency, full, omega + 1):
+        omega += 1
     chosen: list[int] = []
     cand = full
     need = omega

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package routines it checks: cycles are found
 by trying every vertex subset and every cyclic order, cliques by trying every
-vertex subset, reversals by the double loop straight from the definition.
+vertex subset, perfect matchings by trying every set of n/2 edges, reversals
+by the double loop straight from the definition.
 """
 
 from __future__ import annotations
@@ -81,6 +82,19 @@ def max_clique_oracle(adjacency, size: int) -> tuple[int, tuple[int, ...]]:
             best = len(members)
             best_witness = witness
     return best, best_witness
+
+
+def perfect_matchings_oracle(g: LabeledGraph) -> set[tuple[tuple[int, int], ...]]:
+    """Every perfect matching of g as its sorted pair tuple: each choice of n/2
+    edges that covers 1..n.  Only sensible for a few dozen edges."""
+    adj = g.adjacency
+    edges = [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if adj[u] >> v & 1]
+    everything = set(range(1, g.n + 1))
+    return {
+        chosen
+        for chosen in itertools.combinations(edges, g.n // 2)
+        if {v for edge in chosen for v in edge} == everything
+    }
 
 
 def reversing_oracle(p1: Permutation, p2: Permutation) -> bool:

@@ -8,7 +8,6 @@ import pytest
 from cyclecreate.counting import (
     BiadjacencyMatrix,
     biadjacency,
-    build_noncreating_family,
     check_regular_matching_bound,
     count_perfect_matchings,
     enumerate_perfect_matchings_of,
@@ -16,7 +15,7 @@ from cyclecreate.counting import (
     permanent_ryser,
     van_der_waerden_bound,
 )
-from cyclecreate.constructions import projective_plane_incidence
+from cyclecreate.constructions import build_noncreating_family, projective_plane_incidence
 from cyclecreate.graphs import LabeledGraph, is_creating
 
 

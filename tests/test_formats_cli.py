@@ -312,11 +312,16 @@ def test_cli_errors_exit_2_with_manifest(capsys, tmp_path):
     assert "error: line 2" in stderr
 
     # argparse usage errors: an unknown option, no command, a missing required option
-    for argv in (["--threads", "2", "bounds", "--k", "2"], [], ["bounds"]):
+    for argv, error in (
+        (["--threads", "2", "bounds", "--k", "2"], "unrecognized arguments: --threads"),
+        ([], "the following arguments are required: command"),
+        (["bounds"], "the following arguments are required: --k"),
+    ):
         code, stdout, stderr = run_cli(capsys, argv)
         assert code == 2, argv
         assert stdout == ""
         assert "usage: cyclecreate" in stderr
+        assert f"error: {error}\n" in stderr
         manifest = manifest_of(stderr)
         assert manifest["exit_code"] == 2
         assert manifest["command"] is None and manifest["parameters"] == {}

@@ -1,0 +1,71 @@
+"""The modules of the package import one another only downward:
+graphs -> {bounds, constructions, counting, reduction, search} -> formats -> cli,
+with the package itself and its __main__ on top."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclecreate"
+LAYERS = {
+    "graphs": 0,
+    "bounds": 1,
+    "constructions": 1,
+    "counting": 1,
+    "reduction": 1,
+    "search": 1,
+    "formats": 2,
+    "cli": 3,
+    "__init__": 4,
+    "__main__": 4,
+}
+
+
+def imported_modules(tree: ast.Module):
+    """(module, names) for every import of the package or one of its modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "cyclecreate":
+                    yield alias.name.partition(".")[2] or "__init__", ()
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                name = node.module
+            elif node.module.split(".")[0] == "cyclecreate":
+                name = node.module.partition(".")[2]
+            else:
+                continue
+            names = tuple(alias.name for alias in node.names)
+            if name:
+                yield name, names
+            else:  # from the package: its submodules, or names it defines
+                for sub in names:
+                    yield (sub, ()) if sub in LAYERS else ("__init__", (sub,))
+
+
+def test_intra_package_imports_follow_the_layers():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert {path.stem for path in sources} == set(LAYERS)
+    for path in sources:
+        importer = path.stem
+        for imported, names in imported_modules(ast.parse(path.read_text())):
+            if (importer, imported, names) == ("cli", "__init__", ("__version__",)):
+                continue
+            assert LAYERS[imported] < LAYERS[importer], f"{importer} imports {imported} {names}"
+
+
+def test_layer_check_sees_relative_and_absolute_imports():
+    source = (
+        "from .counting import x\n"
+        "from . import search, __version__\n"
+        "import cyclecreate.graphs\n"
+        "from cyclecreate.formats import y\n"
+        "import os\n"
+        "from typing import Sequence\n"
+    )
+    assert list(imported_modules(ast.parse(source))) == [
+        ("counting", ("x",)),
+        ("search", ()),
+        ("__init__", ("__version__",)),
+        ("graphs", ()),
+        ("formats", ("y",)),
+    ]

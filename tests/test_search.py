@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-from cyclecreate.counting import enumerate_perfect_matchings_of
 from cyclecreate.graphs import (
     HamPath,
     LabeledGraph,
     PerfectMatching,
     Permutation,
+    enumerate_perfect_matchings_of,
     verify_pairwise_creating,
 )
 from cyclecreate.search import (
+    _lex_least_clique,
     build_compatibility_graph,
     enumerate_ham_paths,
     enumerate_perfect_matchings,
@@ -25,7 +26,7 @@ from cyclecreate.search import (
     max_triangle_creating_paths,
     perm_to_matching,
 )
-from oracles import max_clique_oracle, reversing_oracle
+from oracles import max_clique_oracle, perfect_matchings_oracle, reversing_oracle
 
 
 def complete_graph(n):
@@ -65,10 +66,18 @@ def test_enumerate_perfect_matchings_smallest():
     assert len(enumerate_perfect_matchings(2)) == 1
 
 
-def test_enumerate_perfect_matchings_agrees_with_graph_enumeration():
-    direct = {m.sorted_pairs for m in enumerate_perfect_matchings(6)}
-    via_graph = {m.sorted_pairs for m in enumerate_perfect_matchings_of(complete_graph(6))}
-    assert direct == via_graph
+def test_enumerate_perfect_matchings_against_count_and_edge_subset_oracle():
+    double_factorial = 1
+    for n in range(2, 11, 2):
+        double_factorial *= n - 1
+        listed = [m.sorted_pairs for m in enumerate_perfect_matchings(n)]
+        assert len(listed) == len(set(listed)) == double_factorial, n
+        assert listed == sorted(listed), n
+    assert {m.sorted_pairs for m in enumerate_perfect_matchings(6)} == (
+        perfect_matchings_oracle(complete_graph(6))
+    )
+    c6 = LabeledGraph(6, [(i, i + 1) for i in range(1, 6)] + [(1, 6)])
+    assert {m.sorted_pairs for m in enumerate_perfect_matchings_of(c6)} == perfect_matchings_oracle(c6)
 
 
 def test_enumeration_size_guards():
@@ -183,6 +192,26 @@ def test_max_clique_random_subfamilies():
         assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size)
 
 
+def test_lex_least_clique_on_random_and_extreme_graphs():
+    def masks(n, related):
+        return tuple(
+            sum(1 << w for w in range(n) if w != v and related(min(v, w), max(v, w)))
+            for v in range(n)
+        )
+
+    rng = random.Random(41003)
+    cases = [masks(0, None), masks(10, lambda v, w: False), masks(12, lambda v, w: True)]
+    # four disjoint triangles {0, 4, 8}, {1, 5, 9}, ...: every triangle is a maximum clique
+    cases.append(masks(12, lambda v, w: v % 4 == w % 4))
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for n in range(1, 15):
+            edges = {(v, w) for v in range(n) for w in range(v + 1, n) if rng.random() < p}
+            cases.append(masks(n, lambda v, w: (v, w) in edges))
+    for adjacency in cases:
+        witness = _lex_least_clique(adjacency, len(adjacency))
+        assert (len(witness), witness) == max_clique_oracle(adjacency, len(adjacency)), adjacency
+
+
 def test_max_independent_set_against_oracle():
     cg = build_compatibility_graph(enumerate_perfect_matchings(6), 4)
     complement = tuple(
@@ -239,3 +268,29 @@ def test_closed_form_triangle_values():
     assert [max_triangle_creating_paths(n) for n in range(3, 8)] == [3, 3, 10, 10, 35]
     with pytest.raises(ValueError):
         max_triangle_creating_paths(2)
+
+
+# Values from perfbench/METRICS.md, with the lexicographically least witnesses
+# the search returned when they were pinned; a changed witness fails here.
+PINNED_SEARCHES = [
+    ("M", 8, 4, max_clique, (0, 1, 2, 15, 16, 17, 30, 31, 32)),
+    ("M", 8, 6, max_clique, (0, 4, 8, 10, 12)),
+    ("M", 8, 8, max_clique, (0, 19, 38, 55, 74, 76, 93)),
+    ("H", 5, 4, max_clique, (0, 2, 4, 6, 8, 10, 12, 14, 16, 46, 56, 58)),
+    ("H", 5, 5, max_clique, (0, 7, 12, 20, 29, 32, 35, 41, 49, 58)),
+    ("RP", 5, "reversing", max_clique, (0, 1, 26, 27, 60, 61, 86, 87)),
+    ("M", 8, 4, max_independent_set, (0, 4, 21, 25, 34, 38, 55, 59, 92, 94)),
+    ("RP", 5, "reversing", max_independent_set,
+     (0, 3, 8, 30, 42, 45, 64, 73, 81, 93, 96, 100, 108)),
+]
+
+
+def test_pinned_exact_values_and_witnesses():
+    enumerate_objects = {
+        "H": enumerate_ham_paths,
+        "M": enumerate_perfect_matchings,
+        "RP": enumerate_permutations,
+    }
+    for target, n, relation, solve, witness in PINNED_SEARCHES:
+        cg = build_compatibility_graph(enumerate_objects[target](n), relation)
+        assert solve(cg) == (len(witness), witness), (target, n, relation, solve.__name__)
