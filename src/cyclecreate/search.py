@@ -7,6 +7,14 @@ answers "is there a clique of size t?".  The clique number is found by raising
 t from 1 until the search refuses, and the lexicographically least optimal
 witness is then built vertex by vertex with the same search.  Witnesses are
 re-verified against the defining relation before being returned.
+
+When the objects are a full enumeration (every Hamiltonian path, perfect
+matching or permutation on one ground set, each once), relabelling the ground
+set maps the relation to itself and moves any object to any other, so the
+graph and its complement are vertex-transitive.  Every vertex, object 0
+included, then lies in a maximum clique, and the search starts from object 0
+inside its neighbourhood.  The witness is the same lexicographically least
+one either way.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .graphs import (
@@ -61,13 +69,22 @@ def _check_enum_size(what: str, count: int) -> None:
         )
 
 
+def _orbit_size(kind: type, n: int) -> int:
+    """How many paths (n!/2), matchings ((n-1)!!) or permutations (n!) live on 1..n."""
+    if kind is HamPath:
+        return factorial(n) // 2
+    if kind is PerfectMatching:
+        return prod(range(n - 1, 0, -2))
+    return factorial(n)
+
+
 def enumerate_ham_paths(n: int) -> list[HamPath]:
     """All n!/2 Hamiltonian paths on 1..n, canonical orientation, lexicographic order."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if n > MAX_PATH_VERTICES:
         raise ValueError(f"path enumeration is limited to n <= {MAX_PATH_VERTICES}, got {n}")
-    _check_enum_size(f"paths on {n} vertices", factorial(n) // 2)
+    _check_enum_size(f"paths on {n} vertices", _orbit_size(HamPath, n))
     return [
         HamPath(p)
         for p in itertools.permutations(range(1, n + 1))
@@ -87,10 +104,7 @@ def enumerate_perfect_matchings(n: int) -> list[PerfectMatching]:
         raise ValueError(
             f"matching enumeration is limited to n <= {MAX_MATCHING_VERTICES}, got {n}"
         )
-    count = 1
-    for odd in range(1, n, 2):
-        count *= odd
-    _check_enum_size(f"matchings on {n} vertices", count)
+    _check_enum_size(f"matchings on {n} vertices", _orbit_size(PerfectMatching, n))
     return enumerate_perfect_matchings_of(
         LabeledGraph(n, itertools.combinations(range(1, n + 1), 2))
     )
@@ -104,7 +118,7 @@ def enumerate_permutations(m: int) -> list[Permutation]:
         raise ValueError(
             f"permutation enumeration is limited to m <= {MAX_PERMUTATION_SIZE}, got {m}"
         )
-    _check_enum_size(f"permutations of 1..{m}", factorial(m))
+    _check_enum_size(f"permutations of 1..{m}", _orbit_size(Permutation, m))
     return [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
 
 
@@ -243,22 +257,30 @@ def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
     return expand(0, cand)
 
 
-def _lex_least_clique(adjacency: Sequence[int], size: int) -> tuple[int, ...]:
+def _lex_least_clique(
+    adjacency: Sequence[int], size: int, rooted: bool = False
+) -> tuple[int, ...]:
     """A maximum clique that is lexicographically least as a sorted index tuple.
 
     Both steps are decisions by _has_clique.  The clique number omega is found
     by counting the target up from 1; the one call that fails proves that no
     larger clique exists.  Vertices are then taken in index order whenever a
     clique of the remaining size still fits among their common neighbours.
+
+    rooted=True is only for vertex-transitive graphs.  There every vertex lies
+    in some maximum clique, so the lexicographically least one starts with 0:
+    the witness starts as [0], omega - 1 is counted up inside N(0), and the
+    rebuild continues from index 1.  The result equals the unrooted one.
     """
-    full = (1 << size) - 1
-    omega = 0
-    while _has_clique(adjacency, full, omega + 1):
-        omega += 1
     chosen: list[int] = []
-    cand = full
-    need = omega
-    for v in range(size):
+    cand = (1 << size) - 1
+    if rooted:
+        chosen.append(0)
+        cand = adjacency[0]
+    need = 0
+    while _has_clique(adjacency, cand, need + 1):
+        need += 1
+    for v in range(len(chosen), size):
         if need == 0:
             break
         bit = 1 << v
@@ -283,13 +305,35 @@ def _reverify(cg: CompatibilityGraph, witness: tuple[int, ...], expect_related: 
             raise RuntimeError("internal error: witness failed re-verification against the relation")
 
 
+def _full_orbit(objects: tuple) -> bool:
+    """True iff the objects are every Hamiltonian path, perfect matching or
+    permutation on one ground set, each exactly once.  Relabelling the ground
+    set acts transitively on them and preserves both relations, so their
+    compatibility graph is vertex-transitive.  Fewer than two objects are
+    never an orbit here.
+    """
+    if len(objects) < 2:
+        return False
+    kind = type(objects[0])
+    if kind not in (HamPath, PerfectMatching, Permutation) or any(
+        type(o) is not kind for o in objects
+    ):
+        return False
+    ground = {o.m if kind is Permutation else o.n for o in objects}
+    if len(ground) != 1:
+        return False
+    return len(objects) == _orbit_size(kind, ground.pop()) == len(set(objects))
+
+
 def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number and the lexicographically least optimal witness.
 
     The witness is re-verified pair by pair against the stored relation before
-    being returned.
+    being returned.  The adjacency must be the relation's, as
+    build_compatibility_graph makes it: on a full enumeration of objects the
+    search relies on the relation's symmetry (see _full_orbit).
     """
-    witness = _lex_least_clique(cg.adjacency, cg.size)
+    witness = _lex_least_clique(cg.adjacency, cg.size, _full_orbit(cg.objects))
     _reverify(cg, witness, expect_related=True)
     return len(witness), witness
 
@@ -300,7 +344,7 @@ def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     complement = tuple(
         (full & ~cg.adjacency[v]) & ~(1 << v) for v in range(cg.size)
     )
-    witness = _lex_least_clique(complement, cg.size)
+    witness = _lex_least_clique(complement, cg.size, _full_orbit(cg.objects))
     _reverify(cg, witness, expect_related=False)
     return len(witness), witness
 

@@ -12,6 +12,7 @@ from cyclecreate.graphs import (
     verify_pairwise_creating,
 )
 from cyclecreate.search import (
+    _full_orbit,
     _lex_least_clique,
     build_compatibility_graph,
     enumerate_ham_paths,
@@ -31,6 +32,14 @@ from oracles import max_clique_oracle, perfect_matchings_oracle, reversing_oracl
 
 def complete_graph(n):
     return LabeledGraph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+
+
+def complement(adjacency):
+    full = (1 << len(adjacency)) - 1
+    return tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(adjacency))
+
+
+ENUMERATE = {"H": enumerate_ham_paths, "M": enumerate_perfect_matchings, "RP": enumerate_permutations}
 
 
 # ------------------------------------------------------------
@@ -214,11 +223,79 @@ def test_lex_least_clique_on_random_and_extreme_graphs():
 
 def test_max_independent_set_against_oracle():
     cg = build_compatibility_graph(enumerate_perfect_matchings(6), 4)
-    complement = tuple(
-        ((1 << cg.size) - 1) & ~cg.adjacency[v] & ~(1 << v) for v in range(cg.size)
-    )
-    expected = max_clique_oracle(complement, cg.size)
+    expected = max_clique_oracle(complement(cg.adjacency), cg.size)
     assert max_independent_set(cg) == expected
+
+
+# ------------------------------------------------------------
+# the rooted route on full enumerations
+# ------------------------------------------------------------
+
+FULL_ORBITS = (
+    [("H", n, length) for n in (4, 5) for length in (3, 4, 5)]
+    + [("M", n, length) for n in (4, 6, 8) for length in (4, 6, 8)]
+    + [("RP", m, "reversing") for m in (3, 4, 5)]
+)
+
+
+def test_rooted_route_equals_unrooted_search_on_full_orbits():
+    rng = random.Random(41004)
+    for target, n, relation in FULL_ORBITS:
+        objects = ENUMERATE[target](n)
+        orders = [objects] + [rng.sample(objects, len(objects)) for _ in range(3)]
+        for order in orders:
+            cg = build_compatibility_graph(order, relation)
+            assert _full_orbit(cg.objects), (target, n, relation)
+            clique = _lex_least_clique(cg.adjacency, cg.size)
+            independent = _lex_least_clique(complement(cg.adjacency), cg.size)
+            assert max_clique(cg) == (len(clique), clique), (target, n, relation)
+            assert max_independent_set(cg) == (len(independent), independent), (target, n, relation)
+
+
+def test_rooted_route_on_circulant_graphs():
+    # i ~ j iff j - i or i - j lies in the connection set mod n: a Cayley graph
+    # of Z_n, so it and its complement are vertex-transitive
+    rng = random.Random(41005)
+    for n in range(1, 15):
+        for _ in range(3):
+            steps = {s for s in range(1, n // 2 + 1) if rng.random() < 0.5}
+            adjacency = tuple(
+                sum(1 << w for w in {(v + sign * s) % n for s in steps for sign in (1, -1)})
+                for v in range(n)
+            )
+            for graph in (adjacency, complement(adjacency)):
+                witness = _lex_least_clique(graph, n, rooted=True)
+                assert (len(witness), witness) == max_clique_oracle(graph, n), (n, steps)
+
+
+def test_families_that_are_not_full_orbits_take_the_general_route():
+    paths = enumerate_ham_paths(4)
+    missing = paths[:7] + paths[8:]
+    duplicated = paths[:7] + [paths[0]] + paths[8:]
+    # as many graphs on 1..3 as there are permutations of 1..3
+    triangle = [(1, 2), (1, 3), (2, 3)]
+    graphs = [LabeledGraph(3, edges) for r in (1, 2) for edges in itertools.combinations(triangle, r)]
+    families = [
+        (missing, 4),
+        (duplicated, 4),
+        (enumerate_permutations(3)[:3] + enumerate_permutations(3)[4:], "reversing"),
+        (enumerate_perfect_matchings(6)[1:], 6),
+        ([p.graph for p in paths], 4),
+        (graphs, 3),
+        ([], 4),
+        ([HamPath((1, 2))], 3),
+        ([Permutation((1,))], "reversing"),
+    ]
+    for objects, relation in families:
+        cg = build_compatibility_graph(objects, relation)
+        assert not _full_orbit(cg.objects), (objects, relation)
+        assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size), (objects, relation)
+        expected = max_clique_oracle(complement(cg.adjacency), cg.size)
+        assert max_independent_set(cg) == expected, (objects, relation)
+    # on these the rooted route would miss the optimum, so the guard matters
+    for objects in (missing, duplicated):
+        cg = build_compatibility_graph(objects, 4)
+        assert len(_lex_least_clique(cg.adjacency, cg.size, rooted=True)) == 5 < max_clique(cg)[0] == 6
 
 
 def test_clique_witness_members_are_pairwise_related():
@@ -272,6 +349,8 @@ def test_closed_form_triangle_values():
 
 # Values from perfbench/METRICS.md, with the lexicographically least witnesses
 # the search returned when they were pinned; a changed witness fails here.
+# RP6 is not in METRICS.md: it was pinned once the unrooted search (16 s) and
+# the search rooted at object 0 returned the same witness.
 PINNED_SEARCHES = [
     ("M", 8, 4, max_clique, (0, 1, 2, 15, 16, 17, 30, 31, 32)),
     ("M", 8, 6, max_clique, (0, 4, 8, 10, 12)),
@@ -279,6 +358,7 @@ PINNED_SEARCHES = [
     ("H", 5, 4, max_clique, (0, 2, 4, 6, 8, 10, 12, 14, 16, 46, 56, 58)),
     ("H", 5, 5, max_clique, (0, 7, 12, 20, 29, 32, 35, 41, 49, 58)),
     ("RP", 5, "reversing", max_clique, (0, 1, 26, 27, 60, 61, 86, 87)),
+    ("RP", 6, "reversing", max_clique, (0, 1, 26, 123, 133, 427, 451, 534, 573, 614, 693, 719)),
     ("M", 8, 4, max_independent_set, (0, 4, 21, 25, 34, 38, 55, 59, 92, 94)),
     ("RP", 5, "reversing", max_independent_set,
      (0, 3, 8, 30, 42, 45, 64, 73, 81, 93, 96, 100, 108)),
@@ -286,11 +366,6 @@ PINNED_SEARCHES = [
 
 
 def test_pinned_exact_values_and_witnesses():
-    enumerate_objects = {
-        "H": enumerate_ham_paths,
-        "M": enumerate_perfect_matchings,
-        "RP": enumerate_permutations,
-    }
     for target, n, relation, solve, witness in PINNED_SEARCHES:
-        cg = build_compatibility_graph(enumerate_objects[target](n), relation)
+        cg = build_compatibility_graph(ENUMERATE[target](n), relation)
         assert solve(cg) == (len(witness), witness), (target, n, relation, solve.__name__)
