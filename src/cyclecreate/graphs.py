@@ -341,6 +341,28 @@ def is_creating(
     return _creates(ga.adjacency, gb.adjacency, length)
 
 
+def _family_adjacencies(members: Sequence, length: int | None) -> list[tuple[int, ...]]:
+    """is_creating's checks, applied to a whole family, and its adjacency masks.
+
+    The members must be of one kind and, unless length is None (permutations),
+    graphs, paths or matchings on one ground set; with two or more members the
+    cycle length must be at least 3.  Errors name member 0's kind or ground
+    set and the first one, in member order, that differs from it.
+    """
+    for m in members:
+        if type(m) is not type(members[0]):
+            raise TypeError(f"mixed kinds: {type(members[0]).__name__} vs {type(m).__name__}")
+    if length is None:
+        return []
+    adjacencies = [_as_graph(m).adjacency for m in members]
+    for adj in adjacencies:
+        if len(adj) != len(adjacencies[0]):
+            raise ValueError(f"mismatched ground sets (n={len(adjacencies[0]) - 1} vs n={len(adj) - 1})")
+    if len(members) >= 2 and length < 3:
+        raise ValueError(f"cycle length must be at least 3, got {length}")
+    return adjacencies
+
+
 class UnionComponent(NamedTuple):
     """One connected component of the union of two perfect matchings."""
 
@@ -440,12 +462,7 @@ def verify_pairwise_creating(
     members = list(family)
     size = len(members)
     pair_count = size * (size - 1) // 2
-    if size >= 2 and len({type(m) for m in members}) > 1:
-        names = ", ".join(sorted({type(m).__name__ for m in members}))
-        raise TypeError(f"family mixes kinds: {names}")
-    adjacencies = [_as_graph(m).adjacency for m in members]
-    if len({len(adj) for adj in adjacencies}) > 1:
-        raise ValueError("family members live on different ground sets")
+    adjacencies = _family_adjacencies(members, length)
 
     for i, adj_i in enumerate(adjacencies):
         for j in range(i + 1, size):

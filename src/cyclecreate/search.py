@@ -12,15 +12,15 @@ When the objects are a full enumeration (every Hamiltonian path, perfect
 matching or permutation on one ground set, each once), relabelling the ground
 set maps the relation to itself and moves any object to any other, so the
 graph and its complement are vertex-transitive.  Every vertex, object 0
-included, then lies in a maximum clique, and the search starts from object 0
-inside its neighbourhood.  The witness is the same lexicographically least
+included, then lies in a maximum clique, and the search of a graph that
+build_compatibility_graph made from such objects starts from object 0 inside
+its neighbourhood.  The witness is the same lexicographically least
 one either way.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Sequence
@@ -30,43 +30,15 @@ from .graphs import (
     LabeledGraph,
     PerfectMatching,
     Permutation,
-    _as_graph,
     _creates,
+    _family_adjacencies,
     enumerate_perfect_matchings_of,
     is_creating,
 )
 
-ENUM_LIMIT_ENV = "CYCLECREATE_MAX_ENUM"
-DEFAULT_ENUM_LIMIT = 1_000_000
 MAX_PATH_VERTICES = 8
 MAX_MATCHING_VERTICES = 12
 MAX_PERMUTATION_SIZE = 8
-
-
-def enumeration_limit() -> int:
-    """Cap on how many objects one enumeration call may produce.
-
-    Read from the CYCLECREATE_MAX_ENUM environment variable on every call;
-    unset means 1000000.
-    """
-    raw = os.environ.get(ENUM_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENUM_LIMIT_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{ENUM_LIMIT_ENV} must be positive, got {value}")
-    return value
-
-
-def _check_enum_size(what: str, count: int) -> None:
-    limit = enumeration_limit()
-    if count > limit:
-        raise ValueError(
-            f"{what} would enumerate {count} objects, over the {ENUM_LIMIT_ENV} limit of {limit}"
-        )
 
 
 def _orbit_size(kind: type, n: int) -> int:
@@ -84,7 +56,6 @@ def enumerate_ham_paths(n: int) -> list[HamPath]:
         raise ValueError(f"n must be at least 2, got {n}")
     if n > MAX_PATH_VERTICES:
         raise ValueError(f"path enumeration is limited to n <= {MAX_PATH_VERTICES}, got {n}")
-    _check_enum_size(f"paths on {n} vertices", _orbit_size(HamPath, n))
     return [
         HamPath(p)
         for p in itertools.permutations(range(1, n + 1))
@@ -104,7 +75,6 @@ def enumerate_perfect_matchings(n: int) -> list[PerfectMatching]:
         raise ValueError(
             f"matching enumeration is limited to n <= {MAX_MATCHING_VERTICES}, got {n}"
         )
-    _check_enum_size(f"matchings on {n} vertices", _orbit_size(PerfectMatching, n))
     return enumerate_perfect_matchings_of(
         LabeledGraph(n, itertools.combinations(range(1, n + 1), 2))
     )
@@ -118,7 +88,6 @@ def enumerate_permutations(m: int) -> list[Permutation]:
         raise ValueError(
             f"permutation enumeration is limited to m <= {MAX_PERMUTATION_SIZE}, got {m}"
         )
-    _check_enum_size(f"permutations of 1..{m}", _orbit_size(Permutation, m))
     return [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
 
 
@@ -161,20 +130,6 @@ class CompatibilityGraph:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
 
-def _creating_adjacencies(objs: tuple, length: int) -> list[tuple[int, ...]]:
-    """Adjacency masks of the objects, raising what the first failing
-    is_creating(objs[0], objs[j], length) raises; fewer than two objects form no pair."""
-    if len(objs) < 2:
-        return []
-    adjacencies = [_as_graph(o).adjacency for o in objs]
-    for adj in adjacencies[1:]:
-        if len(adj) != len(adjacencies[0]):
-            raise ValueError(f"mismatched ground sets (n={len(adjacencies[0]) - 1} vs n={len(adj) - 1})")
-        if length < 3:
-            raise ValueError(f"cycle length must be at least 3, got {length}")
-    return adjacencies
-
-
 def build_compatibility_graph(objects: Sequence, relation: int | str) -> CompatibilityGraph:
     """Evaluate the creating or reversing relation on every pair of objects.
 
@@ -182,19 +137,17 @@ def build_compatibility_graph(objects: Sequence, relation: int | str) -> Compati
     integer cycle length, or permutations with the "reversing" relation.
     """
     objs = tuple(objects)
-    if len({type(o) for o in objs}) > 1:
-        names = ", ".join(sorted({type(o).__name__ for o in objs}))
-        raise TypeError(f"objects mix kinds: {names}")
     if objs and isinstance(objs[0], Permutation):
         if relation != "reversing":
             raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
+        _family_adjacencies(objs, None)
         items, related = objs, is_reversing
     elif not isinstance(relation, int):
         raise ValueError(
             f"paths, matchings, and graphs need an integer cycle length, got {relation!r}"
         )
     else:
-        items = _creating_adjacencies(objs, relation)
+        items = _family_adjacencies(objs, relation)
 
         def related(a, b) -> bool:
             return _creates(a, b, relation)
@@ -205,7 +158,10 @@ def build_compatibility_graph(objects: Sequence, relation: int | str) -> Compati
             if related(a, items[j]):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return CompatibilityGraph(objs, tuple(adjacency), relation)
+    cg = CompatibilityGraph(objs, tuple(adjacency), relation)
+    # only a graph made here surely holds its objects' relation (see max_clique)
+    object.__setattr__(cg, "_rooted", _full_orbit(objs))
+    return cg
 
 
 def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -329,11 +285,11 @@ def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number and the lexicographically least optimal witness.
 
     The witness is re-verified pair by pair against the stored relation before
-    being returned.  The adjacency must be the relation's, as
-    build_compatibility_graph makes it: on a full enumeration of objects the
-    search relies on the relation's symmetry (see _full_orbit).
+    being returned.  A graph that build_compatibility_graph made from a full
+    enumeration is searched from object 0 (see _full_orbit); any other graph,
+    a hand-built one included, is searched in full.
     """
-    witness = _lex_least_clique(cg.adjacency, cg.size, _full_orbit(cg.objects))
+    witness = _lex_least_clique(cg.adjacency, cg.size, getattr(cg, "_rooted", False))
     _reverify(cg, witness, expect_related=True)
     return len(witness), witness
 
@@ -344,7 +300,7 @@ def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     complement = tuple(
         (full & ~cg.adjacency[v]) & ~(1 << v) for v in range(cg.size)
     )
-    witness = _lex_least_clique(complement, cg.size, _full_orbit(cg.objects))
+    witness = _lex_least_clique(complement, cg.size, getattr(cg, "_rooted", False))
     _reverify(cg, witness, expect_related=False)
     return len(witness), witness
 

@@ -5,7 +5,10 @@ with the package itself and its __main__ on top."""
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclecreate"
+from cyclecreate import cli, constructions, counting, search
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cyclecreate"
 LAYERS = {
     "graphs": 0,
     "bounds": 1,
@@ -69,3 +72,22 @@ def test_layer_check_sees_relative_and_absolute_imports():
         ("graphs", ()),
         ("formats", ("y",)),
     ]
+
+
+def traced_names(tree: ast.Module) -> list[str]:
+    """The keys of the module-level TRACED dict literal."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "TRACED" for target in node.targets
+        ):
+            return [key.value for key in node.value.keys]
+    raise AssertionError("no TRACED dict")
+
+
+def test_benchmark_traced_functions_exist():
+    # the benchmark's tracer skips a name that is missing from every module it
+    # wraps, which would drop that layer's metric without an error
+    names = traced_names(ast.parse((ROOT / "perfbench" / "replay.py").read_text()))
+    assert len(names) > 20
+    for name in names:
+        assert any(hasattr(module, name) for module in (cli, search, constructions, counting)), name

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,13 @@ from cyclecreate.graphs import (
     PerfectMatching,
     Permutation,
     enumerate_perfect_matchings_of,
+    is_creating,
     verify_pairwise_creating,
 )
+from cyclecreate import search
+from cyclecreate.formats import format_matchings
 from cyclecreate.search import (
+    CompatibilityGraph,
     _full_orbit,
     _lex_least_clique,
     build_compatibility_graph,
@@ -104,19 +110,6 @@ def test_enumeration_size_guards():
         enumerate_permutations(9)
 
 
-def test_enumeration_env_limit(monkeypatch):
-    monkeypatch.setenv("CYCLECREATE_MAX_ENUM", "10")
-    with pytest.raises(ValueError, match="CYCLECREATE_MAX_ENUM"):
-        enumerate_ham_paths(5)
-    assert len(enumerate_ham_paths(3)) == 3
-    monkeypatch.setenv("CYCLECREATE_MAX_ENUM", "not-a-number")
-    with pytest.raises(ValueError, match="integer"):
-        enumerate_ham_paths(3)
-    monkeypatch.setenv("CYCLECREATE_MAX_ENUM", "0")
-    with pytest.raises(ValueError, match="positive"):
-        enumerate_ham_paths(3)
-
-
 # ------------------------------------------------------------
 # reversing permutations and their matchings
 # ------------------------------------------------------------
@@ -173,6 +166,34 @@ def test_build_compatibility_graph_kind_errors():
     k6 = PerfectMatching([(1, 2), (3, 4), (5, 6)])
     with pytest.raises(ValueError, match=r"mismatched ground sets \(n=4 vs n=6\)"):
         build_compatibility_graph([k4, k4, k6], 4)
+
+
+def test_family_errors_match_is_creating():
+    p3 = HamPath((1, 2, 3))
+    p4 = HamPath((1, 2, 3, 4))
+    m4 = PerfectMatching([(1, 2), (3, 4)])
+    m6 = PerfectMatching([(1, 2), (3, 4), (5, 6)])
+    cases = [
+        ([p4, m4], 4, TypeError, "mixed kinds: HamPath vs PerfectMatching"),
+        ([m4, p4], 4, TypeError, "mixed kinds: PerfectMatching vs HamPath"),
+        ([p4, p4, p4.graph, m4], 4, TypeError, "mixed kinds: HamPath vs LabeledGraph"),
+        ([p3, p4], 3, ValueError, "mismatched ground sets (n=3 vs n=4)"),
+        ([m4, m4, m6, p4.graph], 4, TypeError, "mixed kinds: PerfectMatching vs LabeledGraph"),
+        ([m4, m4, m6], 4, ValueError, "mismatched ground sets (n=4 vs n=6)"),
+        ([p4, HamPath((1, 3, 2, 4))], 2, ValueError, "cycle length must be at least 3, got 2"),
+        ([m4, m4], 2, ValueError, "cycle length must be at least 3, got 2"),
+    ]
+    for family, length, error, message in cases:
+        calls = [verify_pairwise_creating, build_compatibility_graph]
+        if len(family) == 2:
+            calls.append(lambda pair, length: is_creating(*pair, length))
+        for call in calls:
+            with pytest.raises(error) as raised:
+                call(family, length)
+            assert str(raised.value) == message, (call, family)
+    # permutations are checked for one kind too
+    with pytest.raises(TypeError, match="^mixed kinds: Permutation vs HamPath$"):
+        build_compatibility_graph([Permutation((1, 2)), HamPath((1, 2))], "reversing")
 
 
 # ------------------------------------------------------------
@@ -296,6 +317,53 @@ def test_families_that_are_not_full_orbits_take_the_general_route():
     for objects in (missing, duplicated):
         cg = build_compatibility_graph(objects, 4)
         assert len(_lex_least_clique(cg.adjacency, cg.size, rooted=True)) == 5 < max_clique(cg)[0] == 6
+
+
+def test_hand_built_graphs_of_full_orbits_take_the_general_route():
+    paths = enumerate_ham_paths(4)
+    # the L = 4 relation with object 7 isolated: the rooted route would find 5
+    built = build_compatibility_graph(paths, 4).adjacency
+    adjacency = tuple(0 if v == 7 else mask & ~(1 << 7) for v, mask in enumerate(built))
+    cg = CompatibilityGraph(tuple(paths), adjacency, 4)
+    assert len(_lex_least_clique(adjacency, cg.size, rooted=True)) == 5
+    assert max_clique(cg) == max_clique_oracle(adjacency, cg.size) == (6, (1, 2, 4, 6, 8, 9))
+    # the L = 3 relation with object 7 joined to all: the rooted route would find 3
+    built = build_compatibility_graph(paths, 3).adjacency
+    full = (1 << len(paths)) - 1
+    adjacency = tuple(full ^ 1 << 7 if v == 7 else mask | 1 << 7 for v, mask in enumerate(built))
+    cg = CompatibilityGraph(tuple(paths), adjacency, 3)
+    assert len(_lex_least_clique(complement(adjacency), cg.size, rooted=True)) == 3
+    assert max_independent_set(cg) == max_clique_oracle(complement(adjacency), cg.size)
+    assert max_independent_set(cg)[0] == 4
+
+
+def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "libjob.py"
+    spec = importlib.util.spec_from_file_location("libjob", path)
+    libjob = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(libjob)
+    routes = []
+
+    def recording(adjacency, size, rooted=False):
+        routes.append(rooted)
+        return _lex_least_clique(adjacency, size, rooted)
+
+    monkeypatch.setattr(search, "_lex_least_clique", recording)
+    rng = random.Random(41006)
+    matchings = enumerate_perfect_matchings(6)
+    perms = enumerate_permutations(4)
+    rng.shuffle(matchings)
+    rng.shuffle(perms)
+    (tmp_path / "m6.objects").write_text(format_matchings(matchings))
+    (tmp_path / "rp4.objects").write_text(
+        "\n".join(["perms 4 24"] + [" ".join(map(str, p.images)) for p in perms]) + "\n"
+    )
+    for name, objects, relation in (("m6", matchings, "4"), ("rp4", perms, "reversing")):
+        assert libjob.main([str(tmp_path / f"{name}.objects"), relation]) == 0
+        cg = build_compatibility_graph(objects, libjob.parse_relation(relation))
+        witness = _lex_least_clique(complement(cg.adjacency), cg.size)
+        assert capsys.readouterr().out == libjob.result_line(len(witness), witness)
+    assert routes == [True, True]
 
 
 def test_clique_witness_members_are_pairwise_related():
