@@ -37,7 +37,6 @@ from .graphs import (
     UnionComponent,
     bipartition,
     contains_cycle_of_length,
-    cycles_of_length,
     enumerate_perfect_matchings_of,
     girth,
     is_creating,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vertex = int
 
@@ -204,6 +204,12 @@ def _has_cycle(adj: Sequence[int], length: int) -> bool:
     return False
 
 
+def _has_cycle_through(adj: Sequence[int], u: int, v: int, length: int) -> bool:
+    """True iff a walk from v through length - 2 vertices other than u and v
+    closes at u: with the edge (u, v), a cycle on exactly `length` vertices."""
+    return _cycle_search(adj, u, v, ~(1 << u | 1 << v), length - 2)
+
+
 def _creates(adj_a: Sequence[int], adj_b: Sequence[int], length: int) -> bool:
     """The creating relation on two unchecked adjacency tuples of one size."""
     return _has_cycle(list(map(or_, adj_a, adj_b)), length)
@@ -218,37 +224,6 @@ def contains_cycle_of_length(g: LabeledGraph, length: int) -> bool:
     if length < 3:
         raise ValueError(f"cycle length must be at least 3, got {length}")
     return _has_cycle(g.adjacency, length)
-
-
-def cycles_of_length(g: LabeledGraph, length: int) -> Iterator[tuple[int, ...]]:
-    """Yield every simple cycle on exactly `length` vertices exactly once.
-
-    Cycles start at their smallest vertex and run toward the smaller of that
-    vertex's two cycle neighbors, which fixes one orientation per cycle.
-    """
-    if length < 3:
-        raise ValueError(f"cycle length must be at least 3, got {length}")
-    if length > g.n:
-        return
-    adj = g.adjacency
-    path = [0] * length
-
-    def extend(current: int, allowed: int, depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == length:
-            if adj[current] >> path[0] & 1 and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        options = adj[current] & allowed
-        while options:
-            low = options & -options
-            options ^= low
-            v = low.bit_length() - 1
-            path[depth] = v
-            yield from extend(v, allowed ^ low, depth + 1)
-
-    for anchor in range(1, g.n + 1):
-        path[0] = anchor
-        yield from extend(anchor, -1 << (anchor + 1), 1)
 
 
 def girth(g: LabeledGraph) -> int | float:
@@ -345,9 +320,9 @@ def _family_adjacencies(members: Sequence, length: int | None) -> list[tuple[int
     """is_creating's checks, applied to a whole family, and its adjacency masks.
 
     The members must be of one kind and, unless length is None (permutations),
-    graphs, paths or matchings on one ground set; with two or more members the
-    cycle length must be at least 3.  Errors name member 0's kind or ground
-    set and the first one, in member order, that differs from it.
+    graphs, paths or matchings on one ground set with a cycle length of at
+    least 3, whatever the family's size.  Errors name member 0's kind or
+    ground set and the first one, in member order, that differs from it.
     """
     for m in members:
         if type(m) is not type(members[0]):
@@ -358,7 +333,7 @@ def _family_adjacencies(members: Sequence, length: int | None) -> list[tuple[int
     for adj in adjacencies:
         if len(adj) != len(adjacencies[0]):
             raise ValueError(f"mismatched ground sets (n={len(adjacencies[0]) - 1} vs n={len(adj) - 1})")
-    if len(members) >= 2 and length < 3:
+    if length < 3:
         raise ValueError(f"cycle length must be at least 3, got {length}")
     return adjacencies
 
@@ -457,8 +432,6 @@ def verify_pairwise_creating(
     reported violation is the first pair in that order.  An empty or
     single-member family passes with zero pairs.
     """
-    if length < 3:
-        raise ValueError(f"cycle length must be at least 3, got {length}")
     members = list(family)
     size = len(members)
     pair_count = size * (size - 1) // 2

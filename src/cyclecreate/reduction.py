@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
-from .graphs import HamPath, LabeledGraph, PerfectMatching, cycles_of_length, union
+from .graphs import HamPath, LabeledGraph, PerfectMatching, _has_cycle_through
 
 
 @dataclass(frozen=True)
@@ -154,22 +154,16 @@ def strip_to_matchings(subfamily: Sequence[HamPath], k: int) -> StrippedFamily:
 
 
 def verify_fixed_edges_unused(h1: HamPath, h2: HamPath, k: int) -> bool:
-    """Check that no cycle on exactly 2k vertices in the union touches a block edge.
+    """Check that no cycle on exactly 2k vertices in the union uses a block edge.
 
-    The two paths must share their associated triple; every cycle of that
-    length in their union is enumerated and tested against the shared blocks.
+    The two paths must share their associated triple; each shared block edge
+    gets one search for such a cycle through it.
     """
     triple = associated_triple(h1, k)
     if associated_triple(h2, k) != triple:
         raise ValueError("paths do not share an associated triple")
-    fixed_edges = fixed_graph(triple).edges
-    merged = union(h1.graph, h2.graph)
-    for cycle in cycles_of_length(merged, 2 * k):
-        for i in range(len(cycle)):
-            u, v = cycle[i], cycle[(i + 1) % len(cycle)]
-            if ((u, v) if u < v else (v, u)) in fixed_edges:
-                return False
-    return True
+    adj = [a | b for a, b in zip(h1.graph.adjacency, h2.graph.adjacency)]
+    return not any(_has_cycle_through(adj, u, v, 2 * k) for u, v in fixed_graph(triple).edges)
 
 
 @dataclass(frozen=True)

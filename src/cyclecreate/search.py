@@ -263,22 +263,21 @@ def _reverify(cg: CompatibilityGraph, witness: tuple[int, ...], expect_related: 
 
 def _full_orbit(objects: tuple) -> bool:
     """True iff the objects are every Hamiltonian path, perfect matching or
-    permutation on one ground set, each exactly once.  Relabelling the ground
+    permutation on their ground set, each exactly once.  Relabelling the ground
     set acts transitively on them and preserves both relations, so their
     compatibility graph is vertex-transitive.  Fewer than two objects are
     never an orbit here.
+
+    The objects must already be known to be of one kind on one ground set, as
+    they are once build_compatibility_graph has related every pair of them.
     """
     if len(objects) < 2:
         return False
     kind = type(objects[0])
-    if kind not in (HamPath, PerfectMatching, Permutation) or any(
-        type(o) is not kind for o in objects
-    ):
+    if kind not in (HamPath, PerfectMatching, Permutation):
         return False
-    ground = {o.m if kind is Permutation else o.n for o in objects}
-    if len(ground) != 1:
-        return False
-    return len(objects) == _orbit_size(kind, ground.pop()) == len(set(objects))
+    ground = objects[0].m if kind is Permutation else objects[0].n
+    return len(objects) == _orbit_size(kind, ground) == len(set(objects))
 
 
 def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:

@@ -368,6 +368,54 @@ def test_module_entry_point_smoke():
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# golden corpus: the README block's exact stdout and the sha256 of every file
+# it writes, line by line; a change that keeps behaviour keeps these bytes
+README_DIGESTS = {
+    "family.paths": "3f4cfa5403e7ad499b81705585627d158803493f633ff8e96ecf34e005218068",
+    "plane.graph": "d8af4f129748cf8d5abb11badbf34cf5a6144d78c9a4e40d64268a49b4253401",
+    "pair.matchings": "bf65634c15e7667e02e22b5ea7a48de38732ee3511157404769288bd539d8e9a",
+    "smaller.matchings": "6f8c57f7dc696e078e9f8f4b2c705949031170cb022707a6972d8f33597379d7",
+}
+README_GOLDEN = [
+    ("cyclecreate construct lower-bound --n 9 --k 2 --out family.paths",
+     "wrote 24 paths on 9 vertices\n", ("family.paths",)),
+    ("cyclecreate construct plane --q 3 --out plane.graph",
+     "wrote incidence graph of order 3 on 26 vertices\n", ("plane.graph",)),
+    ("cyclecreate construct plane --target-n 50 --out plane.graph",
+     ("chose order 3 with 26 vertices\n"
+      "wrote incidence graph of order 3 on 26 vertices\n"),
+     ("plane.graph",)),
+    ("cyclecreate verify creating --kind paths --k 2 --in family.paths",
+     "ok 24 members, 276 pairs create length 4\n", ()),
+    ("cyclecreate verify c2kfree --k 2 --in plane.graph", "ok bipartite 4-regular girth 6\n", ()),
+    ("cyclecreate reduce paths-to-matchings --k 2 --in pair.paths --out pair.matchings",
+     "kept 2 of 2 members on 10 vertices\n", ("pair.matchings",)),
+    ("cyclecreate reduce shrink --in pair.matchings --out smaller.matchings",
+     "kept 1 of 2 members, deleted pair 1-2\n", ("smaller.matchings",)),
+    ("cyclecreate search H --n 5 --k 3", "10\n", ()),
+    ("cyclecreate search M --n 6 --k 4", "3\n", ()),
+    ("cyclecreate search RP --n 3", "2\n", ()),
+    ("cyclecreate count matchings --in plane.graph", "3852\n", ()),
+    ("cyclecreate count permanent --in square.matrix", "2\n", ()),
+    ("cyclecreate check lemma6 --in plane.graph",
+     "ok 3852 matchings >= bound 32145253230182400/23298085122481\n", ()),
+    ("cyclecreate check claim4 --k 2 --in pair.paths", "ok 1 sharing pairs checked\n", ()),
+    ("cyclecreate check claim7 --m 4", "ok 576 ordered pairs checked\n", ()),
+    ("cyclecreate bounds --k 2 --kmax 10",
+     ("k=2 cycle=4 lower=1/2 matching_upper=1/4 path_upper=3/4\n"
+      "k=3 cycle=6 lower=1/3 matching_upper=1/3 path_upper=8/9\n"
+      "k=4 cycle=8 lower=1/4 matching_upper=2/5 path_upper=19/20\n"
+      "k=5 cycle=10 lower=1/5 matching_upper=2/5 path_upper=24/25\n"
+      "k=6 cycle=12 lower=1/6 matching_upper=7/16 path_upper=47/48\n"
+      "k=7 cycle=14 lower=1/7 matching_upper=4/9 path_upper=62/63\n"
+      "k=8 cycle=16 lower=1/8 matching_upper=5/11 path_upper=87/88\n"
+      "k=9 cycle=18 lower=1/9 matching_upper=11/24 path_upper=107/108\n"
+      "k=10 cycle=20 lower=1/10 matching_upper=13/28 path_upper=139/140\n"),
+     ()),
+    ("cyclecreate bounds --k 2 --decimal",
+     "k=2 cycle=4 lower=0.500000 matching_upper=0.250000 path_upper=0.750000\n", ()),
+]
+
 
 def test_readme_command_line_block_runs_as_written(tmp_path):
     text = README.read_text()
@@ -378,8 +426,9 @@ def test_readme_command_line_block_runs_as_written(tmp_path):
     assert commands and set(hand_written) == {"pair.paths", "square.matrix"}
     for name, body in hand_written.items():
         (tmp_path / name).write_text(body)
+    assert commands == [line for line, _, _ in README_GOLDEN]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    for line in commands:
+    for line, stdout, written in README_GOLDEN:
         program, *argv = shlex.split(line)
         assert program == "cyclecreate"
         done = subprocess.run(
@@ -387,5 +436,8 @@ def test_readme_command_line_block_runs_as_written(tmp_path):
             capture_output=True, text=True, env=env, cwd=tmp_path,
         )
         assert done.returncode == 0, (line, done.stderr)
+        assert done.stdout == stdout, line
         (manifest,) = done.stderr.splitlines()
-        assert json.loads(manifest)["exit_code"] == 0, line
+        manifest = json.loads(manifest)
+        assert manifest["exit_code"] == 0, line
+        assert manifest["outputs"] == {name: README_DIGESTS[name] for name in written}, line

@@ -10,9 +10,9 @@ from cyclecreate.graphs import (
     LabeledGraph,
     PerfectMatching,
     Permutation,
+    _has_cycle_through,
     bipartition,
     contains_cycle_of_length,
-    cycles_of_length,
     girth,
     is_creating,
     matching_union_components,
@@ -139,29 +139,21 @@ def test_cycle_detection_matches_subset_oracle():
             )
 
 
-def test_cycle_enumeration_matches_subset_oracle():
+def test_cycle_through_edge_matches_subset_oracle():
     rng = random.Random(20211)
     for trial in range(40):
-        n = rng.randint(4, 7)
+        n = rng.randint(4, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
         for length in range(3, n + 1):
-            listed = list(cycles_of_length(g, length))
-            assert len(listed) == len(set(listed)), "a cycle was yielded twice"
-            as_edge_sets = {
-                frozenset(
-                    tuple(sorted((c[i], c[(i + 1) % len(c)]))) for i in range(len(c))
-                )
-                for c in listed
-            }
-            assert len(as_edge_sets) == len(listed)
-            assert as_edge_sets == all_cycles_oracle(g, length)
-
-
-def test_cycle_enumeration_canonical_form():
-    g = LabeledGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
-    for cycle in cycles_of_length(g, 4):
-        assert cycle[0] == min(cycle)
-        assert cycle[1] < cycle[-1]
+            cycles = all_cycles_oracle(g, length)
+            for u, v in sorted(g.edges):
+                expected = any((u, v) in cycle for cycle in cycles)
+                for a, b in ((u, v), (v, u)):
+                    assert _has_cycle_through(g.adjacency, a, b, length) == expected, (
+                        g.edges,
+                        (a, b),
+                        length,
+                    )
 
 
 # ------------------------------------------------------------

@@ -56,6 +56,22 @@ def test_intra_package_imports_follow_the_layers():
             assert LAYERS[imported] < LAYERS[importer], f"{importer} imports {imported} {names}"
 
 
+def test_private_names_are_imported_only_from_graphs():
+    # the kernels that several modules share live in graphs, and nowhere else
+    private = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for imported, names in imported_modules(ast.parse(path.read_text())):
+            if (path.stem, imported, names) == ("cli", "__init__", ("__version__",)):
+                continue
+            private.update((path.stem, imported, name) for name in names if name.startswith("_"))
+    assert private >= {
+        ("search", "graphs", "_creates"),
+        ("search", "graphs", "_family_adjacencies"),
+        ("reduction", "graphs", "_has_cycle_through"),
+    }
+    assert {imported for _, imported, _ in private} == {"graphs"}, private
+
+
 def test_layer_check_sees_relative_and_absolute_imports():
     source = (
         "from .counting import x\n"

@@ -182,6 +182,12 @@ def test_family_errors_match_is_creating():
         ([m4, m4, m6], 4, ValueError, "mismatched ground sets (n=4 vs n=6)"),
         ([p4, HamPath((1, 3, 2, 4))], 2, ValueError, "cycle length must be at least 3, got 2"),
         ([m4, m4], 2, ValueError, "cycle length must be at least 3, got 2"),
+        # one rule whatever the size: the length is refused after kind and ground set
+        ([], 2, ValueError, "cycle length must be at least 3, got 2"),
+        ([HamPath((1, 2))], 2, ValueError, "cycle length must be at least 3, got 2"),
+        ([m4], 2, ValueError, "cycle length must be at least 3, got 2"),
+        ([p4, m4], 2, TypeError, "mixed kinds: HamPath vs PerfectMatching"),
+        ([p3, p4], 2, ValueError, "mismatched ground sets (n=3 vs n=4)"),
     ]
     for family, length, error, message in cases:
         calls = [verify_pairwise_creating, build_compatibility_graph]
