@@ -47,7 +47,6 @@ from .graphs import (
 from .reduction import (
     AssociatedTriple,
     ReducedFamily,
-    StrippedFamily,
     associated_triple,
     fixed_graph,
     ground_set_reduce,

@@ -14,7 +14,6 @@ from operator import add, sub
 from typing import Iterable
 
 from .graphs import LabeledGraph, bipartition
-from .graphs import enumerate_perfect_matchings_of  # noqa: F401  still importable from here
 
 Entry = int | Fraction
 

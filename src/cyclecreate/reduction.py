@@ -4,12 +4,13 @@ property.  All steps are deterministic, with documented tie-breaks."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .graphs import HamPath, LabeledGraph, PerfectMatching, _has_cycle_through
+
+_Key = TypeVar("_Key")
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,16 @@ class AssociatedTriple:
         return frozenset(v for block in self.classes[index] for v in block)
 
 
-def associated_triple(h: HamPath, k: int) -> AssociatedTriple:
-    """Cut a path on 3tk vertices into its three interleaved block classes."""
+def _check_size(n: int, k: int) -> None:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    if h.n % (3 * k) != 0:
-        raise ValueError(f"n must be a multiple of 3k; got n={h.n}, k={k}")
+    if n % (3 * k) != 0:
+        raise ValueError(f"n must be a multiple of 3k; got n={n}, k={k}")
+
+
+def associated_triple(h: HamPath, k: int) -> AssociatedTriple:
+    """Cut a path on 3tk vertices into its three interleaved block classes."""
+    _check_size(h.n, k)
     blocks = [h.order[i:i + k] for i in range(0, h.n, k)]
     classes: list[list[tuple[int, ...]]] = [[], [], []]
     for i, block in enumerate(blocks):
@@ -63,10 +68,7 @@ def triple_count(n: int, k: int) -> int:
     partitions of 1..n into n/k blocks of size k, an oriented path on each
     block, and a choice of which blocks form each of the three equal classes.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n % (3 * k) != 0:
-        raise ValueError(f"n must be a multiple of 3k; got n={n}, k={k}")
+    _check_size(n, k)
     block_total = n // k
     per_class = n // (3 * k)
     partitions = factorial(n)
@@ -76,6 +78,17 @@ def triple_count(n: int, k: int) -> int:
     orientations = factorial(k) ** block_total
     colorings = factorial(block_total) // factorial(per_class) ** 3
     return partitions * orientations * colorings
+
+
+def _largest_group(keys: Sequence[_Key]) -> tuple[_Key, list[int]]:
+    """The key shared by the most positions (ties: the smallest key) and those
+    positions in input order."""
+    groups: dict[_Key, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    top = max(len(g) for g in groups.values())
+    winner = min(key for key, g in groups.items() if len(g) == top)
+    return winner, groups[winner]
 
 
 def pigeonhole_largest_class(
@@ -88,34 +101,49 @@ def pigeonhole_largest_class(
     members = list(family)
     if not members:
         raise ValueError("family must be nonempty")
-    groups: dict[AssociatedTriple, list[HamPath]] = {}
-    for h in members:
-        groups.setdefault(associated_triple(h, k), []).append(h)
-    top = max(len(g) for g in groups.values())
-    winner = min((t for t, g in groups.items() if len(g) == top), key=lambda t: t.classes)
-    return list(groups[winner]), winner
+    triples = [associated_triple(h, k) for h in members]
+    _, kept = _largest_group([t.classes for t in triples])
+    return [members[i] for i in kept], triples[kept[0]]
 
 
 @dataclass(frozen=True)
-class StrippedFamily:
-    """Matchings left after deleting the shared blocks from a path subfamily."""
+class ReducedFamily:
+    """Matchings kept by a reduction, relabeled onto the vertices it keeps."""
 
     matchings: tuple[PerfectMatching, ...]
-    kept_indices: tuple[int, ...]            # 0-based indices into the input subfamily
-    uncovered: tuple[int, int]               # original labels of the two dropped vertices
+    kept_indices: tuple[int, ...]            # 0-based indices into the input family
+    removed: tuple[int, ...]                 # the deleted vertices, original labels, ascending
     label_map: tuple[tuple[int, int], ...]   # (original, new) pairs, ascending
 
 
-def strip_to_matchings(subfamily: Sequence[HamPath], k: int) -> StrippedFamily:
-    """Delete the shared blocks and relabel what is left onto 1..n-2.
+def _keep_and_relabel(edge_sets: Sequence[frozenset[tuple[int, int]]], n: int) -> ReducedFamily:
+    """Keep the largest group of members whose edges miss the same vertices.
+
+    Members are grouped by the sorted tuple of vertices of 1..n that their
+    edges miss; the largest group is kept in input order (ties: the smallest
+    tuple).  Only members missing the same vertices fit one order-preserving
+    relabeling, and relabeling members separately would scramble pairwise
+    unions.  The missed vertices are deleted and the rest relabeled onto
+    1..n' in order, which turns each kept edge set into a perfect matching.
+    """
+    missed = [tuple(sorted(set(range(1, n + 1)).difference(*edges))) for edges in edge_sets]
+    removed, kept = _largest_group(missed)
+    survivors = [v for v in range(1, n + 1) if v not in removed]
+    relabel = {old: new for new, old in enumerate(survivors, start=1)}
+    matchings = tuple(
+        PerfectMatching((relabel[u], relabel[v]) for u, v in edge_sets[i]) for i in kept
+    )
+    return ReducedFamily(matchings, tuple(kept), removed, tuple(relabel.items()))
+
+
+def strip_to_matchings(subfamily: Sequence[HamPath], k: int) -> ReducedFamily:
+    """Delete the shared blocks and relabel what is left onto 1..2n/k - 2.
 
     Removing the shared block edges from a member leaves its n/k - 1
-    connecting edges, which touch every vertex except the two path endpoints.
-    Members of one triple class can still start and end in different blocks, so
-    their leftover edges can miss different endpoint pairs; only members
-    missing the same pair fit one order-preserving relabeling, and relabeling
-    members separately would scramble pairwise unions.  The largest group with
-    one uncovered pair is kept (ties: smallest pair) and relabeled together.
+    connecting edges, a perfect matching on the block ends other than the two
+    path endpoints.  Members of one triple class can still start and end in
+    different blocks, so they can miss different vertices; the largest group
+    missing the same ones is kept (see `_keep_and_relabel`).
     """
     members = list(subfamily)
     if not members:
@@ -125,32 +153,7 @@ def strip_to_matchings(subfamily: Sequence[HamPath], k: int) -> StrippedFamily:
         if associated_triple(h, k) != triple:
             raise ValueError(f"member {idx} does not share the subfamily's associated triple")
     fixed_edges = fixed_graph(triple).edges
-    n = triple.n
-    leftovers: list[frozenset[tuple[int, int]]] = []
-    for idx, h in enumerate(members):
-        if not fixed_edges <= h.edges:
-            raise ValueError(f"member {idx} does not contain the shared blocks")
-        leftovers.append(h.edges - fixed_edges)
-    by_uncovered: dict[tuple[int, int], list[int]] = {}
-    for idx, edges in enumerate(leftovers):
-        covered = {v for e in edges for v in e}
-        missing = tuple(sorted(set(range(1, n + 1)) - covered))
-        by_uncovered.setdefault((missing[0], missing[1]), []).append(idx)
-    top = max(len(g) for g in by_uncovered.values())
-    pair = min(p for p, g in by_uncovered.items() if len(g) == top)
-    kept = by_uncovered[pair]
-    survivors = [v for v in range(1, n + 1) if v not in pair]
-    relabel = {old: new for new, old in enumerate(survivors, start=1)}
-    matchings = tuple(
-        PerfectMatching((relabel[u], relabel[v]) for u, v in leftovers[idx])
-        for idx in kept
-    )
-    return StrippedFamily(
-        matchings,
-        tuple(kept),
-        pair,
-        tuple((old, relabel[old]) for old in survivors),
-    )
+    return _keep_and_relabel([h.edges - fixed_edges for h in members], triple.n)
 
 
 def verify_fixed_edges_unused(h1: HamPath, h2: HamPath, k: int) -> bool:
@@ -164,16 +167,6 @@ def verify_fixed_edges_unused(h1: HamPath, h2: HamPath, k: int) -> bool:
         raise ValueError("paths do not share an associated triple")
     adj = [a | b for a, b in zip(h1.graph.adjacency, h2.graph.adjacency)]
     return not any(_has_cycle_through(adj, u, v, 2 * k) for u, v in fixed_graph(triple).edges)
-
-
-@dataclass(frozen=True)
-class ReducedFamily:
-    """Matchings kept after deleting vertex 1 and its most common partner."""
-
-    matchings: tuple[PerfectMatching, ...]
-    kept_indices: tuple[int, ...]            # 0-based indices into the input family
-    removed: tuple[int, int]                 # the deleted pair, original labels
-    label_map: tuple[tuple[int, int], ...]   # (original, new) pairs, ascending
 
 
 def ground_set_reduce(family: Sequence[PerfectMatching]) -> ReducedFamily:
@@ -194,23 +187,4 @@ def ground_set_reduce(family: Sequence[PerfectMatching]) -> ReducedFamily:
         raise ValueError("family members live on different ground sets")
     if n < 4:
         raise ValueError(f"ground set must have at least 4 vertices, got {n}")
-    partners = Counter(m.partner[1] for m in members)
-    top = max(partners.values())
-    chosen = min(p for p, c in partners.items() if c == top)
-    kept = [i for i, m in enumerate(members) if m.partner[1] == chosen]
-    survivors = [v for v in range(1, n + 1) if v not in (1, chosen)]
-    relabel = {old: new for new, old in enumerate(survivors, start=1)}
-    matchings = tuple(
-        PerfectMatching(
-            (relabel[u], relabel[v])
-            for u, v in members[i].pairs
-            if 1 not in (u, v)
-        )
-        for i in kept
-    )
-    return ReducedFamily(
-        matchings,
-        tuple(kept),
-        (1, chosen),
-        tuple((old, relabel[old]) for old in survivors),
-    )
+    return _keep_and_relabel([m.pairs - {(1, m.partner[1])} for m in members], n)

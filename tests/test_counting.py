@@ -10,13 +10,12 @@ from cyclecreate.counting import (
     biadjacency,
     check_regular_matching_bound,
     count_perfect_matchings,
-    enumerate_perfect_matchings_of,
     permanent_naive,
     permanent_ryser,
     van_der_waerden_bound,
 )
 from cyclecreate.constructions import build_noncreating_family, projective_plane_incidence
-from cyclecreate.graphs import LabeledGraph, is_creating
+from cyclecreate.graphs import LabeledGraph, enumerate_perfect_matchings_of, is_creating
 
 
 def cycle_graph(n):

@@ -218,6 +218,27 @@ def test_cli_reduce_paths_to_matchings(capsys, tmp_path):
     assert is_creating(matchings[0], matchings[1], 4)
 
 
+def test_cli_reduce_paths_to_matchings_k3(capsys, tmp_path):
+    # both paths have the identity's triple for k = 3 (two classes swap blocks),
+    # so stripping leaves matchings on the 2 * 27/3 - 2 = 16 block ends
+    infile = tmp_path / "pair.paths"
+    outfile = tmp_path / "pair.matchings"
+    swapped = (1, 2, 3, 4, 5, 6, 16, 17, 18, 10, 11, 12, 22, 23, 24, 7, 8, 9,
+               19, 20, 21, 13, 14, 15, 25, 26, 27)
+    infile.write_text(format_paths([HamPath(range(1, 28)), HamPath(swapped)]))
+    code, stdout, _ = run_cli(
+        capsys,
+        ["reduce", "paths-to-matchings", "--k", "3", "--in", str(infile), "--out", str(outfile)],
+    )
+    assert code == 0
+    assert stdout == "kept 2 of 2 members on 16 vertices\n"
+    code, stdout, _ = run_cli(
+        capsys, ["verify", "creating", "--k", "3", "--kind", "matchings", "--in", str(outfile)]
+    )
+    assert code == 0
+    assert stdout == "ok 2 members, 1 pairs create length 6\n"
+
+
 def test_cli_reduce_shrink(capsys, tmp_path):
     infile = tmp_path / "k4.matchings"
     outfile = tmp_path / "small.matchings"

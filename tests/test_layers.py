@@ -90,6 +90,26 @@ def test_layer_check_sees_relative_and_absolute_imports():
     ]
 
 
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports but never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_modules_use_every_name_they_import():
+    # a public name has one home: only the package itself re-exports
+    sample = "from __future__ import annotations\nimport os.path\nfrom .graphs import a, b as c\nx: a\n"
+    assert unused_imports(ast.parse(sample)) == ["c", "os"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            assert unused_imports(ast.parse(path.read_text())) == [], path.stem
+
+
 def traced_names(tree: ast.Module) -> list[str]:
     """The keys of the module-level TRACED dict literal."""
     for node in tree.body:

@@ -1,9 +1,12 @@
+import collections
+import hashlib
 import itertools
 import random
 from math import factorial
 
 import pytest
 
+from cyclecreate.formats import format_matchings
 from cyclecreate.graphs import (
     HamPath,
     PerfectMatching,
@@ -20,6 +23,7 @@ from cyclecreate.reduction import (
     triple_count,
     verify_fixed_edges_unused,
 )
+from cyclecreate.search import enumerate_perfect_matchings
 
 IDENTITY_12 = HamPath(range(1, 13))
 # Same block classes as the identity path: the two middle-class blocks swap slots.
@@ -28,24 +32,32 @@ SWAPPED_MIDDLE_12 = HamPath((1, 2, 9, 10, 5, 6, 7, 8, 3, 4, 11, 12))
 SWAPPED_FIRST_12 = HamPath((7, 8, 3, 4, 5, 6, 1, 2, 9, 10, 11, 12))
 
 
+def relabelled_path(n, rng):
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return HamPath(order)
+
+
+def sharing_arrangements(base, k, rng, count):
+    """`count` paths sharing base's associated triple: each class's blocks are
+    shuffled among that class's slots, directions kept.  An arrangement whose
+    canonical orientation reverses it has another triple and is drawn again."""
+    blocks = [base.order[i:i + k] for i in range(0, base.n, k)]
+    triple = associated_triple(base, k)
+    out = []
+    while len(out) < count:
+        slots = [blocks[c::3] for c in range(3)]
+        for cls in slots:
+            rng.shuffle(cls)
+        h = HamPath(v for i in range(len(blocks)) for v in slots[i % 3][i // 3])
+        if associated_triple(h, k) == triple:
+            out.append(h)
+    return out
+
+
 def random_sharing_pair(rng):
-    """Two distinct-looking paths guaranteed to share their associated triple:
-    shuffle each class's blocks among that class's slots, directions kept."""
-    base = list(range(1, 13))
-    rng.shuffle(base)
-    h1 = HamPath(base)
-    blocks = [h1.order[i:i + 2] for i in range(0, 12, 2)]
-    while True:
-        class_orders = []
-        for c in range(3):
-            slots = [c, c + 3]
-            rng.shuffle(slots)
-            class_orders.append(slots)
-        order = []
-        for slot in range(6):
-            order.extend(blocks[class_orders[slot % 3][slot // 3]])
-        if order[0] < order[-1]:
-            return h1, HamPath(order)
+    h1 = relabelled_path(12, rng)
+    return h1, sharing_arrangements(h1, 2, rng, 1)[0]
 
 
 # ------------------------------------------------------------
@@ -175,7 +187,7 @@ def test_pigeonhole_empty_family():
 def test_strip_to_matchings_two_member_class():
     stripped = strip_to_matchings([IDENTITY_12, SWAPPED_MIDDLE_12], 2)
     assert stripped.kept_indices == (0, 1)
-    assert stripped.uncovered == (1, 12)
+    assert stripped.removed == (1, 12)
     assert stripped.label_map == tuple((v, v - 1) for v in range(2, 12))
     assert [m.sorted_pairs for m in stripped.matchings] == [
         ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)),
@@ -197,7 +209,7 @@ def test_strip_to_matchings_reconstructs_the_originals():
 def test_strip_to_matchings_splits_on_uncovered_pair():
     stripped = strip_to_matchings([IDENTITY_12, SWAPPED_FIRST_12], 2)
     assert stripped.kept_indices == (0,)
-    assert stripped.uncovered == (1, 12)
+    assert stripped.removed == (1, 12)
     assert len(stripped.matchings) == 1
 
 
@@ -217,6 +229,31 @@ def test_strip_to_matchings_random_sharing_pairs():
         assert all(m.n == 10 for m in stripped.matchings)
         if h1 != h2 and len(stripped.matchings) == 2:
             assert verify_pairwise_creating(stripped.matchings, 4).passed
+
+
+# With two blocks per class and k = 4, no two triple-sharing paths create a
+# C_8 (all six arrangements of the identity path checked), so that case only
+# sees the "neither creates" side.
+@pytest.mark.parametrize("n, k, creates", [(12, 2, True), (18, 2, True), (27, 3, True), (24, 4, False)])
+def test_strip_to_matchings_any_k(n, k, creates):
+    # stripping leaves perfect matchings on the 2n/k - 2 block ends, and a
+    # kept pair creates a 2k-cycle exactly when its two paths do
+    rng = random.Random(31004 + n)
+    family = sharing_arrangements(relabelled_path(n, rng), k, rng, 12)
+    stripped = strip_to_matchings(family, k)
+    fixed = fixed_graph(associated_triple(family[0], k)).edges
+    back = {new: old for old, new in stripped.label_map}
+    kept = list(zip(stripped.kept_indices, stripped.matchings))
+    for i, m in kept:
+        assert m.n == 2 * n // k - 2
+        assert {tuple(sorted((back[u], back[v]))) for u, v in m.pairs} | fixed == family[i].edges
+    creating = 0
+    for (i, m1), (j, m2) in itertools.combinations(kept, 2):
+        h1, h2 = family[i], family[j]
+        creating += is_creating(h1, h2, 2 * k)
+        assert is_creating(h1, h2, 2 * k) == is_creating(m1, m2, 2 * k), (h1.order, h2.order)
+        assert verify_fixed_edges_unused(h1, h2, k)
+    assert (creating > 0) == creates
 
 
 # ------------------------------------------------------------
@@ -282,3 +319,61 @@ def test_ground_set_reduce_validation():
         )
     with pytest.raises(ValueError, match="at least 4"):
         ground_set_reduce([PerfectMatching([(1, 2)])])
+
+
+# ------------------------------------------------------------
+# golden reductions: the tie-breaks, pinned on seeded corpora
+# ------------------------------------------------------------
+
+def strip_corpus(n, rng):
+    """k = 2 families: arrangements of one or two relabelled base paths plus
+    unrelated paths, shuffled, so triples and uncovered pairs tie."""
+    for _ in range(30):
+        family = []
+        for _ in range(rng.randint(1, 2)):
+            family += sharing_arrangements(relabelled_path(n, rng), 2, rng, rng.randint(1, 4))
+        family += [relabelled_path(n, rng) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(family)
+        yield family
+
+
+def record(reduced):
+    return (format_matchings(reduced.matchings), reduced.kept_indices, reduced.removed, reduced.label_map)
+
+
+def digest(records):
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+def tied(keys):
+    counts = sorted(collections.Counter(keys).values())
+    return len(counts) > 1 and counts[-1] == counts[-2]
+
+
+GOLDEN_STRIP = {
+    6: "5dcc34bff8e22d9ce5270688dce299775858fc6fb1408bd7a6785695f8c95247",
+    12: "5e21008f492bc720a81c224e5ac5985875ca57512eb18fe6c423ccc1f5aba7c3",
+    18: "e44df32bfd929669eac15b1ac1b1974ea8caff04cbadbebd36ee4eedd60c7b12",
+}
+GOLDEN_SHRINK = "4e6c11851390be4577574ca93315d3cb565366ce14692a28ef5d2f82add32262"
+
+
+def test_strip_golden_corpus():
+    triple_ties = end_ties = 0
+    for n, expected in GOLDEN_STRIP.items():
+        records = []
+        for family in strip_corpus(n, random.Random(31100 + n)):
+            subfamily, triple = pigeonhole_largest_class(family, 2)
+            triple_ties += tied(associated_triple(h, 2) for h in family)
+            end_ties += tied((h.order[0], h.order[-1]) for h in subfamily)
+            records.append((triple.classes, record(strip_to_matchings(subfamily, 2))))
+        assert digest(records) == expected, n
+    assert triple_ties > 0 and end_ties > 0
+
+
+def test_shrink_golden_corpus():
+    rng = random.Random(31200)
+    m8 = enumerate_perfect_matchings(8)
+    families = [rng.sample(m8, rng.randint(1, 20)) for _ in range(100)]
+    assert digest([record(ground_set_reduce(f)) for f in families]) == GOLDEN_SHRINK
+    assert sum(tied(m.partner[1] for m in f) for f in families) > 0
