@@ -3,7 +3,7 @@
 Every run prints its primary result on stdout and exactly one JSON manifest
 line on stderr (command, parameters, input/output digests, wall time).  Exit
 codes: 0 success or property verified, 1 property violated (with the first
-witness on stdout), 2 usage or input format errors.
+witness on stdout), 2 usage, input format or input size errors.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         try:
             code = args.handler(args, inputs, outputs)
-        except (ValueError, TypeError, OSError) as exc:  # FormatError is a ValueError
+        except (ValueError, TypeError, OSError, RecursionError) as exc:  # FormatError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             code = 2
     manifest = {

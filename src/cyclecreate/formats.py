@@ -18,10 +18,13 @@ class FormatError(ValueError):
 
 
 def _int(token: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"line {line_no}: expected an integer, got {token!r}") from None
+    digits = token.removeprefix("-")  # int() alone also takes '+', '_' and non-ASCII digits
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(f"line {line_no}: expected an integer, got {token!r}")
 
 
 def _header(lines: list[str], tag: str, fields: int) -> list[int]:

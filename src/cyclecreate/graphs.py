@@ -30,22 +30,8 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 # ============================================================
 
 
-@dataclass(frozen=True, init=False)
-class LabeledGraph:
-    """Simple undirected graph on vertex set 1..n (no loops, no multi-edges)."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
-        normalized = frozenset(_normalize_edge(u, v) for u, v in edges)
-        for u, v in normalized:
-            if u < 1 or v > n:
-                raise ValueError(f"edge ({u}, {v}) is outside the vertex range 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", normalized)
+class _Graph:
+    """What graphs, paths and matchings share: a graph on 1..n given by `n` and `edges`."""
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -62,7 +48,25 @@ class LabeledGraph:
 
 
 @dataclass(frozen=True, init=False)
-class HamPath:
+class LabeledGraph(_Graph):
+    """Simple undirected graph on vertex set 1..n (no loops, no multi-edges)."""
+
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        normalized = frozenset(_normalize_edge(u, v) for u, v in edges)
+        for u, v in normalized:
+            if u < 1 or v > n:
+                raise ValueError(f"edge ({u}, {v}) is outside the vertex range 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", normalized)
+
+
+@dataclass(frozen=True, init=False)
+class HamPath(_Graph):
     """Hamiltonian path on 1..n stored as a vertex order.
 
     The stored orientation is canonical: the smaller endpoint comes first, so a
@@ -97,17 +101,13 @@ class HamPath:
             _normalize_edge(u, v) for u, v in zip(self.order, self.order[1:])
         )
 
-    @cached_property
-    def graph(self) -> LabeledGraph:
-        return LabeledGraph(self.n, self.edges)
-
 
 @dataclass(frozen=True, init=False)
-class PerfectMatching:
+class PerfectMatching(_Graph):
     """Partition of 1..n (n even) into n/2 disjoint pairs."""
 
     n: int
-    pairs: frozenset[tuple[int, int]]
+    edges: frozenset[tuple[int, int]]
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         normalized = frozenset(_normalize_edge(u, v) for u, v in pairs)
@@ -116,23 +116,19 @@ class PerfectMatching:
         if covered != list(range(1, n + 1)):
             raise ValueError("pairs must cover a ground set 1..2m with every vertex in exactly one pair")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", normalized)
+        object.__setattr__(self, "edges", normalized)
 
     @cached_property
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.pairs))
+        return tuple(sorted(self.edges))
 
     @cached_property
     def partner(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for u, v in self.pairs:
+        for u, v in self.edges:
             out[u] = v
             out[v] = u
         return out
-
-    @cached_property
-    def graph(self) -> LabeledGraph:
-        return LabeledGraph(self.n, self.pairs)
 
 
 @dataclass(frozen=True, init=False)
@@ -161,14 +157,6 @@ class Permutation:
         for pos, value in enumerate(self.images, start=1):
             inv[value - 1] = pos
         return tuple(inv)
-
-
-def _as_graph(obj: LabeledGraph | HamPath | PerfectMatching) -> LabeledGraph:
-    if isinstance(obj, LabeledGraph):
-        return obj
-    if isinstance(obj, (HamPath, PerfectMatching)):
-        return obj.graph
-    raise TypeError(f"expected a graph, path, or matching, got {type(obj).__name__}")
 
 
 # ============================================================
@@ -306,18 +294,11 @@ def is_creating(
 
     Both arguments must be of the same kind and live on the same ground set.
     """
-    if type(a) is not type(b):
-        raise TypeError(f"mixed kinds: {type(a).__name__} vs {type(b).__name__}")
-    ga, gb = _as_graph(a), _as_graph(b)
-    if ga.n != gb.n:
-        raise ValueError(f"mismatched ground sets (n={ga.n} vs n={gb.n})")
-    if length < 3:
-        raise ValueError(f"cycle length must be at least 3, got {length}")
-    return _creates(ga.adjacency, gb.adjacency, length)
+    return _creates(*_family_adjacencies((a, b), length), length)
 
 
 def _family_adjacencies(members: Sequence, length: int | None) -> list[tuple[int, ...]]:
-    """is_creating's checks, applied to a whole family, and its adjacency masks.
+    """The creating relation's checks on a family of any size, and its adjacency masks.
 
     The members must be of one kind and, unless length is None (permutations),
     graphs, paths or matchings on one ground set with a cycle length of at
@@ -329,7 +310,9 @@ def _family_adjacencies(members: Sequence, length: int | None) -> list[tuple[int
             raise TypeError(f"mixed kinds: {type(members[0]).__name__} vs {type(m).__name__}")
     if length is None:
         return []
-    adjacencies = [_as_graph(m).adjacency for m in members]
+    if members and not isinstance(members[0], _Graph):
+        raise TypeError(f"expected a graph, path, or matching, got {type(members[0]).__name__}")
+    adjacencies = [m.adjacency for m in members]
     for adj in adjacencies:
         if len(adj) != len(adjacencies[0]):
             raise ValueError(f"mismatched ground sets (n={len(adjacencies[0]) - 1} vs n={len(adj) - 1})")

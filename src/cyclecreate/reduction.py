@@ -165,7 +165,7 @@ def verify_fixed_edges_unused(h1: HamPath, h2: HamPath, k: int) -> bool:
     triple = associated_triple(h1, k)
     if associated_triple(h2, k) != triple:
         raise ValueError("paths do not share an associated triple")
-    adj = [a | b for a, b in zip(h1.graph.adjacency, h2.graph.adjacency)]
+    adj = [a | b for a, b in zip(h1.adjacency, h2.adjacency)]
     return not any(_has_cycle_through(adj, u, v, 2 * k) for u, v in fixed_graph(triple).edges)
 
 
@@ -187,4 +187,4 @@ def ground_set_reduce(family: Sequence[PerfectMatching]) -> ReducedFamily:
         raise ValueError("family members live on different ground sets")
     if n < 4:
         raise ValueError(f"ground set must have at least 4 vertices, got {n}")
-    return _keep_and_relabel([m.pairs - {(1, m.partner[1])} for m in members], n)
+    return _keep_and_relabel([m.edges - {(1, m.partner[1])} for m in members], n)

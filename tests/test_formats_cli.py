@@ -104,6 +104,10 @@ def test_parse_errors_name_the_first_bad_line():
         (parse_paths, "paths -3 0\n", "line 1"),
         (parse_matchings, "matchings -2 0\n", "line 1"),
         (parse_matrix, "matrix -1\n", "line 1"),
+        # integers are ASCII decimal, with at most a leading '-'
+        (parse_paths, "paths 3 1\n1 2 +3\n", "line 2: expected an integer, got '+3'"),
+        (parse_paths, "paths 0_3 1\n1 2 3\n", "line 1: expected an integer, got '0_3'"),
+        (parse_paths, "paths 3 1\n1 2 \u0663\n", "line 2: expected an integer, got '\u0663'"),
     ]
     for parser, text, fragment in cases:
         with pytest.raises(FormatError) as excinfo:
@@ -331,6 +335,17 @@ def test_cli_errors_exit_2_with_manifest(capsys, tmp_path):
     )
     assert code == 2
     assert "error: line 2" in stderr
+
+    # a cycle search deeper than Python's recursion limit is refused like an enumeration cap
+    big = str(tmp_path / "big.paths")
+    assert run_cli(capsys, ["construct", "lower-bound", "--n", "1201", "--k", "600", "--out", big])[0] == 0
+    code, stdout, stderr = run_cli(
+        capsys, ["verify", "creating", "--kind", "paths", "--k", "600", "--in", big]
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: maximum recursion depth exceeded")
+    assert manifest_of(stderr)["exit_code"] == 2
+    assert sum(row.startswith("{") for row in stderr.splitlines()) == 1
 
     # argparse usage errors: an unknown option, no command, a missing required option
     for argv, error in (

@@ -20,6 +20,7 @@ from cyclecreate.graphs import (
     verify_pairwise_creating,
 )
 from cyclecreate.constructions import projective_plane_incidence
+from cyclecreate.counting import count_perfect_matchings
 from oracles import all_cycles_oracle, cycle_exists_oracle
 
 
@@ -97,6 +98,26 @@ def test_permutation_basics():
         Permutation((1, 1, 2))
 
 
+def test_paths_and_matchings_are_graphs():
+    """A path or matching answers every graph question as its LabeledGraph copy does."""
+    rng = random.Random(20217)
+    for trial in range(60):
+        n = rng.randint(2, 9) if trial % 2 else 2 * rng.randint(1, 5)
+        draw = (lambda: random_path(rng, n)) if trial % 2 else (lambda: random_matching(rng, n))
+        x, y = draw(), draw()
+        gx, gy = LabeledGraph(x.n, x.edges), LabeledGraph(y.n, y.edges)
+        assert x.adjacency == gx.adjacency and x.degrees() == gx.degrees(), x
+        assert girth(x) == girth(gx) == inf and bipartition(x) == bipartition(gx), x
+        if n % 2 == 0:
+            assert count_perfect_matchings(x) == count_perfect_matchings(gx) == 1, x
+        merged = union(x, y)
+        assert merged == union(gx, gy) and merged.edges == x.edges | y.edges, (x, y)
+        for length in range(3, n + 1):
+            assert not contains_cycle_of_length(x, length) and not contains_cycle_of_length(gx, length)
+            created = is_creating(x, y, length)
+            assert created == is_creating(gx, gy, length) == contains_cycle_of_length(merged, length)
+
+
 # ------------------------------------------------------------
 # union and cycle detection
 # ------------------------------------------------------------
@@ -109,10 +130,10 @@ def test_union_requires_same_ground_set():
 
 
 def test_cycle_detection_on_known_graphs():
-    two_paths = union(HamPath((1, 2, 3, 4)).graph, HamPath((1, 3, 2, 4)).graph)
+    two_paths = union(HamPath((1, 2, 3, 4)), HamPath((1, 3, 2, 4)))
     assert contains_cycle_of_length(two_paths, 4)  # 1-2-4-3
     assert contains_cycle_of_length(two_paths, 3)  # 1-2-3
-    pure_c4 = union(PerfectMatching([(1, 2), (3, 4)]).graph, PerfectMatching([(1, 3), (2, 4)]).graph)
+    pure_c4 = union(PerfectMatching([(1, 2), (3, 4)]), PerfectMatching([(1, 3), (2, 4)]))
     assert contains_cycle_of_length(pure_c4, 4)
     assert not contains_cycle_of_length(pure_c4, 3)
     c6 = LabeledGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
@@ -282,7 +303,7 @@ def test_is_creating_matches_union_oracle():
         n = rng.randint(3, 7)
         p, q = random_path(rng, n), random_path(rng, n)
         g, h = random_graph(rng, n, 0.4), random_graph(rng, n, 0.4)
-        for a, b, merged in ((p, q, union(p.graph, q.graph)), (g, h, union(g, h))):
+        for a, b, merged in ((p, q, union(p, q)), (g, h, union(g, h))):
             for length in range(3, n + 1):
                 assert is_creating(a, b, length) == cycle_exists_oracle(merged, length), (a, b, length)
 
@@ -344,12 +365,11 @@ def test_verify_pairwise_mixed_kind_and_ground_set_errors():
 
 
 def naive_family_report(family, length):
-    graphs = [m.graph for m in family]
     first = next(
         (
             (i, j)
             for i, j in itertools.combinations(range(len(family)), 2)
-            if not cycle_exists_oracle(union(graphs[i], graphs[j]), length)
+            if not cycle_exists_oracle(union(family[i], family[j]), length)
         ),
         None,
     )
@@ -363,7 +383,7 @@ def oracle_creating_family(rng, draw, length, attempts):
     for _ in range(attempts):
         candidate = draw()
         if all(
-            cycle_exists_oracle(union(candidate.graph, m.graph), length) for m in family
+            cycle_exists_oracle(union(candidate, m), length) for m in family
         ):
             family.append(candidate)
     return family

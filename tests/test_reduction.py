@@ -202,7 +202,7 @@ def test_strip_to_matchings_reconstructs_the_originals():
     back = {new: old for old, new in stripped.label_map}
     fixed = fixed_graph(associated_triple(IDENTITY_12, 2)).edges
     for member, original in zip(stripped.matchings, (IDENTITY_12, SWAPPED_MIDDLE_12)):
-        restored = {tuple(sorted((back[u], back[v]))) for u, v in member.pairs}
+        restored = {tuple(sorted((back[u], back[v]))) for u, v in member.edges}
         assert restored | fixed == original.edges
 
 
@@ -246,7 +246,7 @@ def test_strip_to_matchings_any_k(n, k, creates):
     kept = list(zip(stripped.kept_indices, stripped.matchings))
     for i, m in kept:
         assert m.n == 2 * n // k - 2
-        assert {tuple(sorted((back[u], back[v]))) for u, v in m.pairs} | fixed == family[i].edges
+        assert {tuple(sorted((back[u], back[v]))) for u, v in m.edges} | fixed == family[i].edges
     creating = 0
     for (i, m1), (j, m2) in itertools.combinations(kept, 2):
         h1, h2 = family[i], family[j]

@@ -176,9 +176,9 @@ def test_family_errors_match_is_creating():
     cases = [
         ([p4, m4], 4, TypeError, "mixed kinds: HamPath vs PerfectMatching"),
         ([m4, p4], 4, TypeError, "mixed kinds: PerfectMatching vs HamPath"),
-        ([p4, p4, p4.graph, m4], 4, TypeError, "mixed kinds: HamPath vs LabeledGraph"),
+        ([p4, p4, LabeledGraph(4, p4.edges), m4], 4, TypeError, "mixed kinds: HamPath vs LabeledGraph"),
         ([p3, p4], 3, ValueError, "mismatched ground sets (n=3 vs n=4)"),
-        ([m4, m4, m6, p4.graph], 4, TypeError, "mixed kinds: PerfectMatching vs LabeledGraph"),
+        ([m4, m4, m6, LabeledGraph(4, p4.edges)], 4, TypeError, "mixed kinds: PerfectMatching vs LabeledGraph"),
         ([m4, m4, m6], 4, ValueError, "mismatched ground sets (n=4 vs n=6)"),
         ([p4, HamPath((1, 3, 2, 4))], 2, ValueError, "cycle length must be at least 3, got 2"),
         ([m4, m4], 2, ValueError, "cycle length must be at least 3, got 2"),
@@ -307,7 +307,7 @@ def test_families_that_are_not_full_orbits_take_the_general_route():
         (duplicated, 4),
         (enumerate_permutations(3)[:3] + enumerate_permutations(3)[4:], "reversing"),
         (enumerate_perfect_matchings(6)[1:], 6),
-        ([p.graph for p in paths], 4),
+        ([LabeledGraph(p.n, p.edges) for p in paths], 4),
         (graphs, 3),
         ([], 4),
         ([HamPath((1, 2))], 3),
