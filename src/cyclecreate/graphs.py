@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 Vertex = int
@@ -171,36 +170,43 @@ def union(a: LabeledGraph, b: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(a.n, a.edges | b.edges)
 
 
-def _cycle_search(adj: Sequence[int], anchor: int, current: int, allowed: int, remaining: int) -> bool:
-    if remaining == 0:
-        return bool(adj[current] >> anchor & 1)
-    options = adj[current] & allowed
+def _path_to(
+    a: Sequence[int], b: Sequence[int], ends: int, current: int, allowed: int, remaining: int
+) -> bool:
+    """True iff the union of a and b has a path from `current` through
+    `remaining` >= 1 more vertices of `allowed`, the last of them in `ends`."""
+    options = (a[current] | b[current]) & allowed
+    if remaining == 1:
+        return bool(options & ends)
+    remaining -= 1
     while options:
         low = options & -options
         options ^= low
-        if _cycle_search(adj, anchor, low.bit_length() - 1, allowed ^ low, remaining - 1):
+        if _path_to(a, b, ends, low.bit_length() - 1, allowed ^ low, remaining):
             return True
     return False
 
 
-def _has_cycle(adj: Sequence[int], length: int) -> bool:
-    # the anchor is the smallest vertex of the cycle, so it is at most n - length + 1
-    for anchor in range(1, len(adj) - length + 1):
-        # only vertices above the anchor may appear inside the cycle
-        if _cycle_search(adj, anchor, anchor, -1 << (anchor + 1), length - 1):
-            return True
-    return False
+def _has_cycle_through(a: Sequence[int], b: Sequence[int], u: int, v: int, length: int) -> bool:
+    """True iff in the union of a and b a walk from v through length - 2
+    vertices other than u and v closes at u: with the edge (u, v), a cycle on
+    exactly `length` vertices."""
+    return _path_to(a, b, a[u] | b[u], v, ~(1 << u | 1 << v), length - 2)
 
 
-def _has_cycle_through(adj: Sequence[int], u: int, v: int, length: int) -> bool:
-    """True iff a walk from v through length - 2 vertices other than u and v
-    closes at u: with the edge (u, v), a cycle on exactly `length` vertices."""
-    return _cycle_search(adj, u, v, ~(1 << u | 1 << v), length - 2)
-
-
-def _creates(adj_a: Sequence[int], adj_b: Sequence[int], length: int) -> bool:
+def _creates(a: Sequence[int], b: Sequence[int], length: int) -> bool:
     """The creating relation on two unchecked adjacency tuples of one size."""
-    return _has_cycle(list(map(or_, adj_a, adj_b)), length)
+    # the anchor is the smallest vertex of the cycle, so it is at most n - length + 1
+    for anchor in range(1, len(a) - length + 1):
+        above = -1 << (anchor + 1)  # only vertices above the anchor may join the cycle
+        up = (a[anchor] | b[anchor]) & above
+        # the walk leaves by the lower neighbour low and closes at one above it
+        while up & (up - 1):
+            low = up & -up
+            up ^= low
+            if _path_to(a, b, up, low.bit_length() - 1, above ^ low, length - 2):
+                return True
+    return False
 
 
 def contains_cycle_of_length(g: LabeledGraph, length: int) -> bool:
@@ -208,10 +214,13 @@ def contains_cycle_of_length(g: LabeledGraph, length: int) -> bool:
 
     Depth-first search over simple paths, anchored at the smallest vertex of
     the candidate cycle so no cycle is searched from two different anchors.
+    Each cycle is walked one way only: it leaves the anchor by the lower of
+    its two neighbours there and must close at a higher one, and the last
+    vertex is found with one mask test against those higher neighbours.
     """
     if length < 3:
         raise ValueError(f"cycle length must be at least 3, got {length}")
-    return _has_cycle(g.adjacency, length)
+    return _creates(g.adjacency, g.adjacency, length)
 
 
 def girth(g: LabeledGraph) -> int | float:

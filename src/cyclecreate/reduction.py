@@ -165,8 +165,8 @@ def verify_fixed_edges_unused(h1: HamPath, h2: HamPath, k: int) -> bool:
     triple = associated_triple(h1, k)
     if associated_triple(h2, k) != triple:
         raise ValueError("paths do not share an associated triple")
-    adj = [a | b for a, b in zip(h1.adjacency, h2.adjacency)]
-    return not any(_has_cycle_through(adj, u, v, 2 * k) for u, v in fixed_graph(triple).edges)
+    a, b = h1.adjacency, h2.adjacency
+    return not any(_has_cycle_through(a, b, u, v, 2 * k) for u, v in fixed_graph(triple).edges)
 
 
 def ground_set_reduce(family: Sequence[PerfectMatching]) -> ReducedFamily:

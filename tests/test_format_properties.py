@@ -9,7 +9,6 @@ import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from cyclecreate.counting import BiadjacencyMatrix
 from cyclecreate.formats import (
@@ -25,15 +24,8 @@ from cyclecreate.formats import (
 )
 from cyclecreate.graphs import HamPath, LabeledGraph, PerfectMatching
 
+pytestmark = pytest.mark.usefixtures("hypothesis_home")
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=80)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def hypothesis_home(tmp_path_factory):
-    """Keep Hypothesis's cache of constants found in the package source out of ./.hypothesis."""
-    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
-    yield
-    set_hypothesis_home_dir(None)
 
 
 def graphs():

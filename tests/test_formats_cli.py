@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclecreate import cli
 from cyclecreate.cli import main
 from cyclecreate.constructions import lower_bound_family
 from cyclecreate.counting import BiadjacencyMatrix
@@ -23,7 +24,9 @@ from cyclecreate.formats import (
     parse_matrix,
     parse_paths,
 )
-from cyclecreate.graphs import HamPath, LabeledGraph, PerfectMatching, is_creating
+from cyclecreate.graphs import HamPath, LabeledGraph, PerfectMatching, Permutation, is_creating
+from cyclecreate.search import enumerate_permutations, perm_to_matching
+from oracles import reversing_oracle
 
 
 IDENTITY_12 = HamPath(tuple(range(1, 13)))
@@ -303,6 +306,24 @@ def test_cli_check_claim7(capsys):
     code, _, stderr = run_cli(capsys, ["check", "claim7", "--m", "7"])
     assert code == 2
     assert "error: --m must be at most 6" in stderr
+
+
+def test_cli_check_claim7_reports_the_first_violating_ordered_pair(capsys, monkeypatch):
+    # a wrong encoding for the permutations that start with 2, so the claim fails
+    def encode(p):
+        return perm_to_matching(Permutation(p.images[::-1]) if p(1) == 2 else p)
+
+    perms = enumerate_permutations(4)
+    expected = next(
+        f"violation: permutations {p.images} and {q.images}\n"
+        for p in perms
+        for q in perms
+        if reversing_oracle(p, q) != is_creating(encode(p), encode(q), 4)
+    )
+    monkeypatch.setattr(cli, "perm_to_matching", encode)
+    code, stdout, _ = run_cli(capsys, ["check", "claim7", "--m", "4"])
+    assert code == 1
+    assert stdout == expected
 
 
 def test_cli_bounds(capsys):

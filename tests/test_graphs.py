@@ -162,19 +162,26 @@ def test_cycle_detection_matches_subset_oracle():
 
 def test_cycle_through_edge_matches_subset_oracle():
     rng = random.Random(20211)
+    # a second graph per trial, so that a step reading only one of the two tuples fails
+    other = random.Random(20212)
     for trial in range(40):
         n = rng.randint(4, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-        for length in range(3, n + 1):
-            cycles = all_cycles_oracle(g, length)
-            for u, v in sorted(g.edges):
-                expected = any((u, v) in cycle for cycle in cycles)
-                for a, b in ((u, v), (v, u)):
-                    assert _has_cycle_through(g.adjacency, a, b, length) == expected, (
-                        g.edges,
-                        (a, b),
-                        length,
-                    )
+        h = random_graph(other, n, other.choice([0.2, 0.35]))
+        for first, second in ((g, g), (g, h)):
+            both = union(first, second)
+            for length in range(3, n + 1):
+                cycles = all_cycles_oracle(both, length)
+                for u, v in sorted(both.edges):
+                    expected = any((u, v) in cycle for cycle in cycles)
+                    for a, b in ((u, v), (v, u)):
+                        for x, y in ((first, second), (second, first)):
+                            assert _has_cycle_through(x.adjacency, y.adjacency, a, b, length) == expected, (
+                                x.edges,
+                                y.edges,
+                                (a, b),
+                                length,
+                            )
 
 
 # ------------------------------------------------------------
