@@ -2,6 +2,7 @@
 pairwise unions create cycles of a fixed length."""
 
 from .bounds import (
+    ExponentRow,
     degree_exponent,
     exponent_row,
     exponent_table,
@@ -34,14 +35,11 @@ from .graphs import (
     LabeledGraph,
     PerfectMatching,
     Permutation,
-    UnionComponent,
     bipartition,
     contains_cycle_of_length,
     enumerate_perfect_matchings_of,
     girth,
     is_creating,
-    matching_union_components,
-    union,
     verify_pairwise_creating,
 )
 from .reduction import (

@@ -136,7 +136,7 @@ def validate_c2kfree_bipartite_regular(g: LabeledGraph, k: int) -> ValidationRep
     is_bipartite = bipartition(g) is not None
     degs = g.degrees()
     is_regular = len(set(degs)) <= 1
-    degree = degs[0] if is_regular and degs else None
+    degree = (degs[0] if degs else 0) if is_regular else None
     g_girth = girth(g)
     passed = is_bipartite and is_regular and g_girth > 2 * k
     return ValidationReport(k, is_bipartite, is_regular, degree, g_girth, passed)

@@ -142,7 +142,7 @@ def check_regular_matching_bound(g: LabeledGraph) -> MatchingBoundReport:
     The scaled matrix A/r is confirmed doubly stochastic in exact rationals,
     which is what makes the minimum apply.
     """
-    matrix, left, _ = biadjacency(g)
+    matrix, _, _ = biadjacency(g)
     degs = g.degrees()
     degree = degs[0] if degs else 0
     if any(d != degree for d in degs):

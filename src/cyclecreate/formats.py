@@ -7,7 +7,7 @@ identical bytes.  Parsers are strict and name the first offending line.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .counting import BiadjacencyMatrix
 from .graphs import HamPath, LabeledGraph, PerfectMatching
@@ -74,16 +74,22 @@ def parse_graph(text: str) -> LabeledGraph:
     return LabeledGraph(n, seen)
 
 
-def format_paths(family: Sequence[HamPath]) -> str:
+def _format_family(family: Sequence, kind: str, row: Callable) -> str:
+    """A '{kind}s n count' header and one row(member) line per member; the
+    members must share one ground set 1..n."""
     members = list(family)
     if not members:
-        raise ValueError("cannot write an empty path family (the vertex count would be undefined)")
+        raise ValueError(f"cannot write an empty {kind} family (the vertex count would be undefined)")
     n = members[0].n
-    if any(p.n != n for p in members):
-        raise ValueError("path family mixes ground set sizes")
-    lines = [f"paths {n} {len(members)}"]
-    lines.extend(" ".join(str(v) for v in p.order) for p in members)
+    if any(m.n != n for m in members):
+        raise ValueError(f"{kind} family mixes ground set sizes")
+    lines = [f"{kind}s {n} {len(members)}"]
+    lines.extend(map(row, members))
     return "\n".join(lines) + "\n"
+
+
+def format_paths(family: Sequence[HamPath]) -> str:
+    return _format_family(family, "path", lambda p: " ".join(str(v) for v in p.order))
 
 
 def parse_paths(text: str) -> list[HamPath]:
@@ -102,17 +108,9 @@ def parse_paths(text: str) -> list[HamPath]:
 
 
 def format_matchings(family: Sequence[PerfectMatching]) -> str:
-    members = list(family)
-    if not members:
-        raise ValueError("cannot write an empty matching family (the vertex count would be undefined)")
-    n = members[0].n
-    if any(m.n != n for m in members):
-        raise ValueError("matching family mixes ground set sizes")
-    lines = [f"matchings {n} {len(members)}"]
-    lines.extend(
-        " ".join(f"{u}-{v}" for u, v in m.sorted_pairs) for m in members
+    return _format_family(
+        family, "matching", lambda m: " ".join(f"{u}-{v}" for u, v in m.sorted_pairs)
     )
-    return "\n".join(lines) + "\n"
 
 
 def parse_matchings(text: str) -> list[PerfectMatching]:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Vertex = int
 
@@ -88,12 +88,6 @@ class HamPath(_Graph):
     def n(self) -> int:
         return len(self.order)
 
-    def vertex_at(self, position: int) -> int:
-        """Vertex sitting at a 1-based position of the stored orientation."""
-        if not 1 <= position <= self.n:
-            raise ValueError(f"position must be in 1..{self.n}, got {position}")
-        return self.order[position - 1]
-
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -161,13 +155,6 @@ class Permutation:
 # ============================================================
 # operations
 # ============================================================
-
-
-def union(a: LabeledGraph, b: LabeledGraph) -> LabeledGraph:
-    """Edge union of two graphs on the same vertex set."""
-    if a.n != b.n:
-        raise ValueError(f"cannot union graphs on different ground sets (n={a.n} vs n={b.n})")
-    return LabeledGraph(a.n, a.edges | b.edges)
 
 
 def _path_to(
@@ -328,48 +315,6 @@ def _family_adjacencies(members: Sequence, length: int | None) -> list[tuple[int
     if length < 3:
         raise ValueError(f"cycle length must be at least 3, got {length}")
     return adjacencies
-
-
-class UnionComponent(NamedTuple):
-    """One connected component of the union of two perfect matchings."""
-
-    kind: str                  # "shared" for a pair present in both, "cycle" otherwise
-    vertices: tuple[int, ...]  # walk order, starting at the smallest vertex
-
-
-def matching_union_components(m1: PerfectMatching, m2: PerfectMatching) -> list[UnionComponent]:
-    """Decompose the union of two perfect matchings on one ground set.
-
-    Every component is either a pair present in both matchings or an
-    alternating cycle of even length at least 4; together the components
-    partition 1..n.  Components are listed by increasing smallest vertex, and
-    cycle walks leave the smallest vertex along its first matching's pair.
-    """
-    if m1.n != m2.n:
-        raise ValueError(f"mismatched ground sets (n={m1.n} vs n={m2.n})")
-    p1, p2 = m1.partner, m2.partner
-    seen: set[int] = set()
-    components: list[UnionComponent] = []
-    for start in range(1, m1.n + 1):
-        if start in seen:
-            continue
-        if p1[start] == p2[start]:
-            other = p1[start]
-            seen.update((start, other))
-            components.append(UnionComponent("shared", (start, other)))
-            continue
-        walk = [start]
-        seen.add(start)
-        current, use_first = start, True
-        while True:
-            current = p1[current] if use_first else p2[current]
-            use_first = not use_first
-            if current == start:
-                break
-            walk.append(current)
-            seen.add(current)
-        components.append(UnionComponent("cycle", tuple(walk)))
-    return components
 
 
 def enumerate_perfect_matchings_of(g: LabeledGraph) -> list[PerfectMatching]:

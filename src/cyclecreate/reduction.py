@@ -28,10 +28,6 @@ class AssociatedTriple:
     k: int
     classes: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def class_vertices(self, index: int) -> frozenset[int]:
-        """All vertices of one class (0-based index)."""
-        return frozenset(v for block in self.classes[index] for v in block)
-
 
 def _check_size(n: int, k: int) -> None:
     if k < 2:

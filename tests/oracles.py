@@ -3,14 +3,21 @@
 Nothing here shares code with the package routines it checks: cycles are found
 by trying every vertex subset and every cyclic order, cliques by trying every
 vertex subset, perfect matchings by trying every set of n/2 edges, reversals
-by the double loop straight from the definition.
+by the double loop straight from the definition, and the union of two
+matchings by walking partners.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cyclecreate.graphs import LabeledGraph, Permutation
+from cyclecreate.graphs import LabeledGraph, PerfectMatching, Permutation
+
+
+def edge_union(a, b) -> LabeledGraph:
+    """The graph on the common vertex set 1..n whose edges are those of a or b."""
+    assert a.n == b.n, (a.n, b.n)
+    return LabeledGraph(a.n, a.edges | b.edges)
 
 
 def subset_has_hamiltonian_cycle(g: LabeledGraph, subset: tuple[int, ...]) -> bool:
@@ -104,3 +111,38 @@ def reversing_oracle(p1: Permutation, p2: Permutation) -> bool:
             if p1(i) == p2(j) and p1(j) == p2(i):
                 return True
     return False
+
+
+def matching_union_components_oracle(
+    m1: PerfectMatching, m2: PerfectMatching
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The components of the union of two perfect matchings on one ground set,
+    as (kind, vertices), by increasing smallest vertex.
+
+    A pair present in both matchings is ("shared", (u, v)).  Every other
+    component is an alternating cycle, ("cycle", walk), walked from its
+    smallest vertex by following m1's and m2's partners in turn.
+    """
+    assert m1.n == m2.n, (m1.n, m2.n)
+    p1, p2 = {}, {}
+    for partner, edges in ((p1, m1.edges), (p2, m2.edges)):
+        for u, v in edges:
+            partner[u], partner[v] = v, u
+    seen: set[int] = set()
+    components = []
+    for start in range(1, m1.n + 1):
+        if start in seen:
+            continue
+        if p1[start] == p2[start]:
+            seen.update((start, p1[start]))
+            components.append(("shared", (start, p1[start])))
+            continue
+        walk = [start]
+        current, use_first = p1[start], False
+        while current != start:
+            walk.append(current)
+            current = (p1 if use_first else p2)[current]
+            use_first = not use_first
+        seen.update(walk)
+        components.append(("cycle", tuple(walk)))
+    return components

@@ -3,6 +3,7 @@ from math import inf
 import pytest
 
 from cyclecreate.constructions import (
+    ValidationReport,
     choose_plane_order,
     lower_bound_family,
     projective_plane_incidence,
@@ -39,7 +40,7 @@ def test_lower_bound_family_size_and_shape():
         assert path.order[0] == 1 and path.order[-1] == 7
         # pinned vertices sit at their own positions
         for t in range(4):
-            assert path.vertex_at(2 * t + 1) == 2 * t + 1
+            assert path.order[2 * t] == 2 * t + 1
     assert len(set(family)) == len(family)
 
 
@@ -163,3 +164,6 @@ def test_validator_forest_girth_is_infinite():
     report = validate_c2kfree_bipartite_regular(matching_graph, 2)
     assert report.girth == inf
     assert report.passed
+    # no vertices: regular of degree 0, not of an undefined degree
+    report = validate_c2kfree_bipartite_regular(LabeledGraph(0), 2)
+    assert report == ValidationReport(2, True, True, 0, inf, True)

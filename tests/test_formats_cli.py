@@ -81,8 +81,10 @@ def test_writers_reject_empty_and_mixed_families():
         format_paths([])
     with pytest.raises(ValueError, match="empty"):
         format_matchings([])
-    with pytest.raises(ValueError, match="mixes"):
+    with pytest.raises(ValueError, match="^path family mixes ground set sizes$"):
         format_paths([HamPath((1, 2, 3)), HamPath((1, 2, 3, 4))])
+    with pytest.raises(ValueError, match="^matching family mixes ground set sizes$"):
+        format_matchings([PerfectMatching([(1, 2)]), PerfectMatching([(1, 2), (3, 4)])])
 
 
 def test_parse_errors_name_the_first_bad_line():
@@ -199,6 +201,14 @@ def test_cli_plane_and_c2kfree(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, ["verify", "c2kfree", "--k", "3", "--in", str(out)])
     assert code == 1
     assert "girth 6 is not greater than 6" in stdout
+
+
+def test_cli_c2kfree_on_the_empty_graph(capsys, tmp_path):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("graph 0 0\n")
+    code, stdout, _ = run_cli(capsys, ["verify", "c2kfree", "--k", "2", "--in", str(empty)])
+    assert code == 0
+    assert stdout == "ok bipartite 0-regular girth inf\n"
 
 
 def test_cli_plane_target_mode(capsys, tmp_path):

@@ -5,6 +5,7 @@ with the package itself and its __main__ on top."""
 import ast
 from pathlib import Path
 
+import cyclecreate
 from cyclecreate import cli, constructions, counting, search
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,3 +128,25 @@ def test_benchmark_traced_functions_exist():
     assert len(names) > 20
     for name in names:
         assert any(hasattr(module, name) for module in (cli, search, constructions, counting)), name
+
+
+LIBRARY = ("graphs", "bounds", "constructions", "counting", "reduction", "search")
+
+
+def test_package_reexports_exactly_the_library_modules_public_names():
+    # formats and cli are reached through their modules, never the package
+    public = {
+        (module, node.name)
+        for module in LIBRARY
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    exported = {
+        (node.module, alias.name)
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert exported == public
+    for module, name in exported:
+        assert getattr(cyclecreate, name) is getattr(getattr(cyclecreate, module), name)

@@ -72,7 +72,7 @@ def test_associated_triple_identity_path():
         ((3, 4), (9, 10)),
         ((5, 6), (11, 12)),
     )
-    assert triple.class_vertices(0) == frozenset({1, 2, 7, 8})
+    assert {v for block in triple.classes[0] for v in block} == {1, 2, 7, 8}
 
 
 def test_associated_triple_validation():
