@@ -18,6 +18,8 @@ from .graphs import (
     girth,
 )
 
+MAX_LOWER_BOUND_BLOCKS = 9  # the family has ((n-1)/k)! paths
+
 
 def lower_bound_family(n: int, k: int) -> list[HamPath]:
     """All ((n-1)/k)! paths obtained by permuting fixed interior blocks.
@@ -39,6 +41,8 @@ def lower_bound_family(n: int, k: int) -> list[HamPath]:
     if n < 2 * k + 1:
         raise ValueError(f"n must be at least 2k+1 = {2 * k + 1} so two blocks exist, got {n}")
     m = (n - 1) // k
+    if m > MAX_LOWER_BOUND_BLOCKS:
+        raise ValueError(f"the family is limited to (n-1)/k <= {MAX_LOWER_BOUND_BLOCKS}, got {m}")
     blocks = [tuple(range(t * k + 2, (t + 1) * k + 1)) for t in range(m)]
     family = []
     for assignment in itertools.permutations(range(m)):

@@ -16,6 +16,7 @@ from typing import Iterable
 from .graphs import LabeledGraph, bipartition
 
 Entry = int | Fraction
+MAX_PERMANENT_SIZE = 26  # Glynn's formula takes 2^(m-1) steps
 
 
 @dataclass(frozen=True, init=False)
@@ -66,6 +67,8 @@ def permanent_ryser(matrix: BiadjacencyMatrix) -> Entry:
     flips the sign of the term.  Integer matrices give an int.
     """
     m = matrix.m
+    if m > MAX_PERMANENT_SIZE:
+        raise ValueError(f"the permanent is limited to m <= {MAX_PERMANENT_SIZE}, got {m}")
     if m == 0:
         return 1
     rows = matrix.rows

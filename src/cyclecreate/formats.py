@@ -109,7 +109,7 @@ def parse_paths(text: str) -> list[HamPath]:
 
 def format_matchings(family: Sequence[PerfectMatching]) -> str:
     return _format_family(
-        family, "matching", lambda m: " ".join(f"{u}-{v}" for u, v in m.sorted_pairs)
+        family, "matching", lambda m: " ".join(f"{u}-{v}" for u, v in sorted(m.edges))
     )
 
 

@@ -9,7 +9,6 @@ pure: the same inputs always give the same answer and the same tie-breaks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -110,18 +109,6 @@ class PerfectMatching(_Graph):
             raise ValueError("pairs must cover a ground set 1..2m with every vertex in exactly one pair")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", normalized)
-
-    @cached_property
-    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-    @cached_property
-    def partner(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for u, v in self.edges:
-            out[u] = v
-            out[v] = u
-        return out
 
 
 @dataclass(frozen=True, init=False)
@@ -254,31 +241,29 @@ def _shortest_walk_from(adj: Sequence[int], src: int, best: int | float) -> int 
 def bipartition(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The two color classes if g is bipartite, else None.
 
-    Components are colored starting from their smallest vertex, which gets the
-    first class; isolated vertices therefore land in the first class.
+    Breadth-first levels (bitmasks) from each component's smallest vertex
+    alternate classes from the first; an edge inside one closes an odd cycle.
     """
-    color: dict[int, int] = {}
     adj = g.adjacency
-    for src in range(1, g.n + 1):
-        if src in color:
-            continue
-        color[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            options = adj[u]
-            while options:
-                low = options & -options
-                options ^= low
-                v = low.bit_length() - 1
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    left = tuple(v for v in range(1, g.n + 1) if color[v] == 0)
-    right = tuple(v for v in range(1, g.n + 1) if color[v] == 1)
-    return left, right
+    unseen = (1 << (g.n + 1)) - 2
+    classes = [0, 0]
+    while unseen:
+        level = unseen & -unseen
+        side = 0
+        while level:
+            unseen ^= level
+            classes[side] |= level
+            side ^= 1
+            reached = 0
+            rest = level
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reached |= adj[low.bit_length() - 1]
+            if reached & level:
+                return None
+            level = reached & unseen
+    return tuple(tuple(v for v in range(1, g.n + 1) if mask >> v & 1) for mask in classes)
 
 
 def is_creating(

@@ -183,4 +183,4 @@ def ground_set_reduce(family: Sequence[PerfectMatching]) -> ReducedFamily:
         raise ValueError("family members live on different ground sets")
     if n < 4:
         raise ValueError(f"ground set must have at least 4 vertices, got {n}")
-    return _keep_and_relabel([m.edges - {(1, m.partner[1])} for m in members], n)
+    return _keep_and_relabel([m.edges - {(1, m.adjacency[1].bit_length() - 1)} for m in members], n)

@@ -3,13 +3,14 @@
 Nothing here shares code with the package routines it checks: cycles are found
 by trying every vertex subset and every cyclic order, cliques by trying every
 vertex subset, perfect matchings by trying every set of n/2 edges, reversals
-by the double loop straight from the definition, and the union of two
-matchings by walking partners.
+by the double loop straight from the definition, the union of two matchings
+by walking partners, and bipartitions by colouring vertex by vertex.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from cyclecreate.graphs import LabeledGraph, PerfectMatching, Permutation
 
@@ -63,6 +64,33 @@ def all_cycles_oracle(g: LabeledGraph, length: int) -> set[frozenset]:
                 )
                 found.add(edges)
     return found
+
+
+def bipartition_oracle(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The two color classes, or None: a breadth-first search colours each
+    component from its smallest vertex, which gets colour 0, one vertex at a
+    time from neighbour lists built from the edge set."""
+    neighbours: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    color: dict[int, int] = {}
+    for src in range(1, g.n + 1):
+        if src in color:
+            continue
+        color[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in neighbours[u]:
+                if v not in color:
+                    color[v] = color[u] ^ 1
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    left = tuple(v for v in range(1, g.n + 1) if color[v] == 0)
+    right = tuple(v for v in range(1, g.n + 1) if color[v] == 1)
+    return left, right
 
 
 def max_clique_oracle(adjacency, size: int) -> tuple[int, tuple[int, ...]]:

@@ -3,6 +3,7 @@ from math import inf
 import pytest
 
 from cyclecreate.constructions import (
+    MAX_LOWER_BOUND_BLOCKS,
     ValidationReport,
     choose_plane_order,
     lower_bound_family,
@@ -58,6 +59,15 @@ def test_lower_bound_family_validation():
         lower_bound_family(5, 1)
     with pytest.raises(ValueError, match="two blocks"):
         lower_bound_family(3, 2)
+
+
+def test_lower_bound_family_size_guard():
+    # 10! paths would take tens of seconds and gigabytes: the guard comes first
+    assert MAX_LOWER_BOUND_BLOCKS == 9
+    with pytest.raises(ValueError, match=r"^the family is limited to \(n-1\)/k <= 9, got 10$"):
+        lower_bound_family(21, 2)
+    with pytest.raises(ValueError, match=r"<= 9, got 12$"):
+        lower_bound_family(37, 3)
 
 
 def test_lower_bound_family_deterministic():

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from cyclecreate.counting import (
+    MAX_PERMANENT_SIZE,
     BiadjacencyMatrix,
     biadjacency,
     check_regular_matching_bound,
@@ -133,6 +134,17 @@ def test_naive_permanent_size_guard():
         permanent_naive(BiadjacencyMatrix([[1] * 10] * 10))
 
 
+def test_permanent_size_guard():
+    # 2^26 Glynn steps on the all-ones matrix would take minutes: the guard comes first
+    assert MAX_PERMANENT_SIZE == 26
+    with pytest.raises(ValueError, match=r"^the permanent is limited to m <= 26, got 27$"):
+        permanent_ryser(BiadjacencyMatrix([[1] * 27] * 27))
+    with pytest.raises(ValueError, match=r"m <= 26, got 27$"):
+        count_perfect_matchings(complete_bipartite(27, 27))
+    with pytest.raises(ValueError, match=r"m <= 26, got 31$"):
+        check_regular_matching_bound(projective_plane_incidence(5).graph)
+
+
 # ------------------------------------------------------------
 # bipartite graphs and matching counts
 # ------------------------------------------------------------
@@ -174,7 +186,7 @@ def test_count_matches_backtracking_enumeration():
 
 def test_enumerate_matchings_of_cycle():
     matchings = enumerate_perfect_matchings_of(cycle_graph(6))
-    assert [m.sorted_pairs for m in matchings] == [
+    assert [tuple(sorted(m.edges)) for m in matchings] == [
         ((1, 2), (3, 4), (5, 6)),
         ((1, 6), (2, 3), (4, 5)),
     ]

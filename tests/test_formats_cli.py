@@ -400,6 +400,33 @@ def test_cli_errors_exit_2_with_manifest(capsys, tmp_path):
     assert manifest["command"] is None and manifest["exit_code"] == 0
 
 
+def test_cli_refuses_sizes_past_the_caps(capsys, tmp_path):
+    # the permanent of a 27 x 27 matrix, and the q = 5 plane (m = 31) through both graph commands
+    matrix = tmp_path / "ones.matrix"
+    matrix.write_text(format_matrix(BiadjacencyMatrix([[1] * 27] * 27)))
+    plane = tmp_path / "plane.graph"
+    assert run_cli(capsys, ["construct", "plane", "--q", "5", "--out", str(plane)])[0] == 0
+    for argv, m in (
+        (["count", "permanent", "--in", str(matrix)], 27),
+        (["count", "matchings", "--in", str(plane)], 31),
+        (["check", "lemma6", "--in", str(plane)], 31),
+    ):
+        code, stdout, stderr = run_cli(capsys, argv)
+        assert (code, stdout) == (2, ""), argv
+        assert stderr.splitlines()[0] == f"error: the permanent is limited to m <= 26, got {m}"
+        manifest = manifest_of(stderr)
+        assert manifest["exit_code"] == 2 and list(manifest["inputs"]) == [argv[-1]]
+
+    out = tmp_path / "family.paths"
+    code, stdout, stderr = run_cli(
+        capsys, ["construct", "lower-bound", "--n", "21", "--k", "2", "--out", str(out)]
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr.splitlines()[0] == "error: the family is limited to (n-1)/k <= 9, got 10"
+    assert manifest_of(stderr)["exit_code"] == 2 and manifest_of(stderr)["outputs"] == {}
+    assert not out.exists()
+
+
 def test_cli_manifest_shape(capsys, tmp_path):
     out = tmp_path / "family.paths"
     _, _, stderr = run_cli(

@@ -21,6 +21,7 @@ from cyclecreate.constructions import projective_plane_incidence
 from cyclecreate.counting import count_perfect_matchings
 from oracles import (
     all_cycles_oracle,
+    bipartition_oracle,
     cycle_exists_oracle,
     edge_union,
     matching_union_components_oracle,
@@ -84,8 +85,8 @@ def test_hampath_canonical_orientation():
 def test_matching_cover_validation():
     m = PerfectMatching([(2, 1), (3, 4)])
     assert m.n == 4
-    assert m.sorted_pairs == ((1, 2), (3, 4))
-    assert m.partner[3] == 4
+    assert tuple(sorted(m.edges)) == ((1, 2), (3, 4))
+    assert m.adjacency[3] == 1 << 4
     with pytest.raises(ValueError):
         PerfectMatching([(1, 2), (2, 3)])
     with pytest.raises(ValueError):
@@ -202,13 +203,13 @@ def test_girth_petersen():
     assert girth(petersen) == 5
 
 
-def test_girth_of_planes_and_a_rewired_plane():
-    for q in (2, 3, 5, 7):
-        assert girth(projective_plane_incidence(q).graph) == 6, q
+def rewired_plane():
+    """The q = 5 plane with two incidences swapped so that points a and c share
+    a second line, which closes a 4-cycle; it stays bipartite and regular.
 
-    # Swap two incidences so that points a and c share a second line: a and c
-    # meet on line x; take a line y through c but not a, a point b != c on y
-    # and a line z through a but through neither b nor c.
+    a and c meet on line x; take a line y through c but not a, a point b != c
+    on y and a line z through a but through neither b nor c.
+    """
     plane = projective_plane_incidence(5)
     adj = plane.graph.adjacency
     a, c = plane.points[:2]
@@ -219,7 +220,13 @@ def test_girth_of_planes_and_a_rewired_plane():
         if adj[a] >> line & 1 and not adj[b] >> line & 1 and not adj[c] >> line & 1
     )
     edges = (plane.graph.edges - {(a, z), (b, y)}) | {(a, y), (b, z)}
-    rewired = LabeledGraph(plane.graph.n, edges)
+    return plane, LabeledGraph(plane.graph.n, edges)
+
+
+def test_girth_of_planes_and_a_rewired_plane():
+    for q in (2, 3, 5, 7):
+        assert girth(projective_plane_incidence(q).graph) == 6, q
+    plane, rewired = rewired_plane()
     assert rewired.degrees() == plane.graph.degrees()
     assert bipartition(rewired) == (plane.points, plane.lines)
     assert girth(rewired) == 4
@@ -279,6 +286,35 @@ def test_bipartition_classes():
     assert bipartition(c5) is None
     isolated = LabeledGraph(3, [(2, 3)])
     assert bipartition(isolated) == ((1, 2), (3,))
+
+
+def test_bipartition_matches_colouring_oracle():
+    rng = random.Random(20214)
+    graphs = []
+    for n in range(15):
+        for p in (0.0, 0.1, 0.2, 0.35, 0.6):
+            graphs += [random_graph(rng, n, p) for _ in range(4)]
+        # random bipartite graphs on a random split, so the classes get compared too
+        for _ in range(4):
+            side = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            edges = [(u, v) for u, v in pairs if side[u] != side[v] and rng.random() < 0.4]
+            graphs.append(LabeledGraph(n, edges))
+    for length in range(3, 16, 2):
+        cycle = [(i, i + 1) for i in range(1, length)] + [(1, length)]
+        graphs.append(LabeledGraph(length, cycle))
+        # the same odd cycle on labels 5.., behind an isolated vertex and a path
+        graphs.append(LabeledGraph(length + 4, [(2, 3), (3, 4)] + [(u + 4, v + 4) for u, v in cycle]))
+    graphs += [projective_plane_incidence(q).graph for q in (2, 3)]
+    _, rewired = rewired_plane()
+    graphs.append(rewired)
+    outcomes = {"bipartite": 0, "not": 0, "isolated": 0}
+    for g in graphs:
+        expected = bipartition_oracle(g)
+        assert bipartition(g) == expected, (g.n, sorted(g.edges))
+        outcomes["not" if expected is None else "bipartite"] += 1
+        outcomes["isolated"] += expected is not None and 0 in g.degrees() and len(g.edges) > 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 # ------------------------------------------------------------

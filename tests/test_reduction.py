@@ -189,7 +189,7 @@ def test_strip_to_matchings_two_member_class():
     assert stripped.kept_indices == (0, 1)
     assert stripped.removed == (1, 12)
     assert stripped.label_map == tuple((v, v - 1) for v in range(2, 12))
-    assert [m.sorted_pairs for m in stripped.matchings] == [
+    assert [tuple(sorted(m.edges)) for m in stripped.matchings] == [
         ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)),
         ((1, 8), (2, 7), (3, 10), (4, 9), (5, 6)),
     ]
@@ -294,7 +294,7 @@ def test_ground_set_reduce_complete_graph_triple():
     assert reduced.removed == (1, 2)
     assert reduced.kept_indices == (0,)
     assert reduced.label_map == ((3, 1), (4, 2))
-    assert [m.sorted_pairs for m in reduced.matchings] == [((1, 2),)]
+    assert [tuple(sorted(m.edges)) for m in reduced.matchings] == [((1, 2),)]
 
 
 def test_ground_set_reduce_keeps_agreeing_members():
@@ -376,4 +376,4 @@ def test_shrink_golden_corpus():
     m8 = enumerate_perfect_matchings(8)
     families = [rng.sample(m8, rng.randint(1, 20)) for _ in range(100)]
     assert digest([record(ground_set_reduce(f)) for f in families]) == GOLDEN_SHRINK
-    assert sum(tied(m.partner[1] for m in f) for f in families) > 0
+    assert sum(tied(m.adjacency[1] for m in f) for f in families) > 0
