@@ -9,48 +9,57 @@ witness on stdout), 2 usage, input format or input size errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import itertools
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bounds import exponent_row
-from .constructions import (
-    choose_plane_order,
-    lower_bound_family,
-    projective_plane_incidence,
-    validate_c2kfree_bipartite_regular,
-)
-from .counting import check_regular_matching_bound, count_perfect_matchings, permanent_ryser
-from .formats import (
-    format_graph,
-    format_matchings,
-    format_paths,
-    parse_graph,
-    parse_matchings,
-    parse_matrix,
-    parse_paths,
-)
-from .graphs import verify_pairwise_creating
-from .reduction import (
-    associated_triple,
-    ground_set_reduce,
-    pigeonhole_largest_class,
-    strip_to_matchings,
-    verify_fixed_edges_unused,
-)
-from .search import (
-    build_compatibility_graph,
-    enumerate_permutations,
-    exact_h,
-    exact_m,
-    exact_rp,
-    perm_to_matching,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# The library functions the handlers call, imported on first use so that each
+# command loads only the modules it runs.  The handlers reach them through
+# this module's attributes (_cli.name), so a replaced cli.name is the one run.
+_HOME = {
+    name: module
+    for module, names in {
+        "bounds": "exponent_row",
+        "constructions": (
+            "choose_plane_order lower_bound_family projective_plane_incidence "
+            "validate_c2kfree_bipartite_regular"
+        ),
+        "counting": "check_regular_matching_bound count_perfect_matchings permanent_ryser",
+        "formats": (
+            "format_graph format_matchings format_paths parse_graph parse_matchings "
+            "parse_matrix parse_paths"
+        ),
+        "graphs": "verify_pairwise_creating",
+        "reduction": (
+            "associated_triple ground_set_reduce pigeonhole_largest_class strip_to_matchings "
+            "verify_fixed_edges_unused"
+        ),
+        "search": (
+            "build_compatibility_graph enumerate_permutations exact_h exact_m exact_rp "
+            "perm_to_matching"
+        ),
+    }.items()
+    for name in names.split()
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 CLAIM7_MAX_M = 6
 
@@ -77,8 +86,8 @@ def _require_k(k: int) -> None:
 
 
 def _cmd_construct_lower_bound(args, inputs, outputs) -> int:
-    family = lower_bound_family(args.n, args.k)
-    _write(args.out, format_paths(family), outputs)
+    family = _cli.lower_bound_family(args.n, args.k)
+    _write(args.out, _cli.format_paths(family), outputs)
     print(f"wrote {len(family)} paths on {args.n} vertices")
     return 0
 
@@ -87,10 +96,10 @@ def _cmd_construct_plane(args, inputs, outputs) -> int:
     if args.q is not None:
         q = args.q
     else:
-        q, vertex_count = choose_plane_order(args.target_n)
+        q, vertex_count = _cli.choose_plane_order(args.target_n)
         print(f"chose order {q} with {vertex_count} vertices")
-    plane = projective_plane_incidence(q)
-    _write(args.out, format_graph(plane.graph), outputs)
+    plane = _cli.projective_plane_incidence(q)
+    _write(args.out, _cli.format_graph(plane.graph), outputs)
     print(f"wrote incidence graph of order {q} on {plane.graph.n} vertices")
     return 0
 
@@ -98,8 +107,8 @@ def _cmd_construct_plane(args, inputs, outputs) -> int:
 def _cmd_verify_creating(args, inputs, outputs) -> int:
     _require_k(args.k)
     text = _read(args.infile, inputs)
-    family = parse_paths(text) if args.kind == "paths" else parse_matchings(text)
-    report = verify_pairwise_creating(family, 2 * args.k)
+    family = _cli.parse_paths(text) if args.kind == "paths" else _cli.parse_matchings(text)
+    report = _cli.verify_pairwise_creating(family, 2 * args.k)
     if report.passed:
         print(f"ok {report.family_size} members, {report.pair_count} pairs create length {2 * args.k}")
         return 0
@@ -109,8 +118,8 @@ def _cmd_verify_creating(args, inputs, outputs) -> int:
 
 
 def _cmd_verify_c2kfree(args, inputs, outputs) -> int:
-    g = parse_graph(_read(args.infile, inputs))
-    report = validate_c2kfree_bipartite_regular(g, args.k)
+    g = _cli.parse_graph(_read(args.infile, inputs))
+    report = _cli.validate_c2kfree_bipartite_regular(g, args.k)
     if report.passed:
         print(f"ok bipartite {report.degree}-regular girth {report.girth}")
         return 0
@@ -125,10 +134,10 @@ def _cmd_verify_c2kfree(args, inputs, outputs) -> int:
 
 def _cmd_reduce_paths(args, inputs, outputs) -> int:
     _require_k(args.k)
-    family = parse_paths(_read(args.infile, inputs))
-    subfamily, _ = pigeonhole_largest_class(family, args.k)
-    stripped = strip_to_matchings(subfamily, args.k)
-    _write(args.out, format_matchings(stripped.matchings), outputs)
+    family = _cli.parse_paths(_read(args.infile, inputs))
+    subfamily, _ = _cli.pigeonhole_largest_class(family, args.k)
+    stripped = _cli.strip_to_matchings(subfamily, args.k)
+    _write(args.out, _cli.format_matchings(stripped.matchings), outputs)
     print(
         f"kept {len(stripped.matchings)} of {len(family)} members "
         f"on {stripped.matchings[0].n} vertices"
@@ -137,9 +146,9 @@ def _cmd_reduce_paths(args, inputs, outputs) -> int:
 
 
 def _cmd_reduce_shrink(args, inputs, outputs) -> int:
-    family = parse_matchings(_read(args.infile, inputs))
-    reduced = ground_set_reduce(family)
-    _write(args.out, format_matchings(reduced.matchings), outputs)
+    family = _cli.parse_matchings(_read(args.infile, inputs))
+    reduced = _cli.ground_set_reduce(family)
+    _write(args.out, _cli.format_matchings(reduced.matchings), outputs)
     print(
         f"kept {len(reduced.matchings)} of {len(family)} members, "
         f"deleted pair {reduced.removed[0]}-{reduced.removed[1]}"
@@ -151,34 +160,34 @@ def _cmd_search(args, inputs, outputs) -> int:
     if args.target == "RP":
         if args.k is not None:
             raise ValueError("search RP takes no --k")
-        value, _ = exact_rp(args.n)
+        value, _ = _cli.exact_rp(args.n)
     elif args.target == "H":
         if args.k is None:
             raise ValueError("search H needs --k, the exact cycle length")
-        value, _ = exact_h(args.n, args.k)
+        value, _ = _cli.exact_h(args.n, args.k)
     else:
         if args.k is None:
             raise ValueError("search M needs --k, the exact cycle length")
-        value, _ = exact_m(args.n, args.k)
+        value, _ = _cli.exact_m(args.n, args.k)
     print(value)
     return 0
 
 
 def _cmd_count_matchings(args, inputs, outputs) -> int:
-    g = parse_graph(_read(args.infile, inputs))
-    print(count_perfect_matchings(g))
+    g = _cli.parse_graph(_read(args.infile, inputs))
+    print(_cli.count_perfect_matchings(g))
     return 0
 
 
 def _cmd_count_permanent(args, inputs, outputs) -> int:
-    matrix = parse_matrix(_read(args.infile, inputs))
-    print(permanent_ryser(matrix))
+    matrix = _cli.parse_matrix(_read(args.infile, inputs))
+    print(_cli.permanent_ryser(matrix))
     return 0
 
 
 def _cmd_check_lemma6(args, inputs, outputs) -> int:
-    g = parse_graph(_read(args.infile, inputs))
-    report = check_regular_matching_bound(g)
+    g = _cli.parse_graph(_read(args.infile, inputs))
+    report = _cli.check_regular_matching_bound(g)
     bound = f"{report.bound.numerator}/{report.bound.denominator}"
     if report.passed and report.doubly_stochastic:
         print(f"ok {report.count} matchings >= bound {bound}")
@@ -189,14 +198,14 @@ def _cmd_check_lemma6(args, inputs, outputs) -> int:
 
 def _cmd_check_claim4(args, inputs, outputs) -> int:
     _require_k(args.k)
-    family = parse_paths(_read(args.infile, inputs))
+    family = _cli.parse_paths(_read(args.infile, inputs))
     groups: dict = {}
     for index, path in enumerate(family):
-        groups.setdefault(associated_triple(path, args.k), []).append(index)
+        groups.setdefault(_cli.associated_triple(path, args.k), []).append(index)
     checked = 0
     for indices in groups.values():
         for i, j in itertools.combinations(indices, 2):
-            if not verify_fixed_edges_unused(family[i], family[j], args.k):
+            if not _cli.verify_fixed_edges_unused(family[i], family[j], args.k):
                 print(
                     f"violation: members {i + 1} and {j + 1} use a shared block edge "
                     f"in a cycle of length {2 * args.k}"
@@ -210,9 +219,10 @@ def _cmd_check_claim4(args, inputs, outputs) -> int:
 def _cmd_check_claim7(args, inputs, outputs) -> int:
     if args.m > CLAIM7_MAX_M:
         raise ValueError(f"--m must be at most {CLAIM7_MAX_M}, got {args.m}")
-    perms = enumerate_permutations(args.m)
-    reversing = build_compatibility_graph(perms, "reversing").adjacency
-    creating = build_compatibility_graph([perm_to_matching(p) for p in perms], 4).adjacency
+    perms = _cli.enumerate_permutations(args.m)
+    reversing = _cli.build_compatibility_graph(perms, "reversing").adjacency
+    matchings = [_cli.perm_to_matching(p) for p in perms]
+    creating = _cli.build_compatibility_graph(matchings, 4).adjacency
     # both relations are symmetric and never hold on the diagonal, so the first
     # ordered pair (i, j) where they differ is the lowest bit of row i's difference
     for i, (rev, cre) in enumerate(zip(reversing, creating)):
@@ -230,7 +240,7 @@ def _cmd_bounds(args, inputs, outputs) -> int:
     if k_max < args.k:
         raise ValueError(f"--kmax must be at least --k, got {k_max} < {args.k}")
     for k in range(args.k, k_max + 1):
-        row = exponent_row(k)
+        row = _cli.exponent_row(k)
         print(
             f"k={k} cycle={row.cycle_length}"
             f" lower={_rational(row.lower, args.decimal)}"
@@ -351,6 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _digest(path: str) -> str:
+    import hashlib
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

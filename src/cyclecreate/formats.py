@@ -7,10 +7,12 @@ identical bytes.  Parsers are strict and name the first offending line.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .counting import BiadjacencyMatrix
 from .graphs import HamPath, LabeledGraph, PerfectMatching
+
+if TYPE_CHECKING:  # counting, and fractions with it, is loaded only to parse a matrix
+    from .counting import BiadjacencyMatrix
 
 
 class FormatError(ValueError):
@@ -150,6 +152,8 @@ def format_matrix(matrix: BiadjacencyMatrix) -> str:
 
 
 def parse_matrix(text: str) -> BiadjacencyMatrix:
+    from .counting import BiadjacencyMatrix
+
     lines = text.splitlines()
     (m,) = _header(lines, "matrix", 1)
     rows = []

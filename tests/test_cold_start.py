@@ -1,0 +1,133 @@
+"""Each CLI command imports only the library modules it runs, and every
+library function the handlers call is looked up on the cli module at call
+time, so that a replaced cli.<name> is the one that runs."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from cyclecreate import cli
+
+INPUTS = {
+    "paths.txt": "paths 12 2\n1 2 3 4 5 6 7 8 9 10 11 12\n7 8 3 4 5 6 1 2 9 10 11 12\n",
+    "matchings.txt": "matchings 4 2\n1-2 3-4\n1-3 2-4\n",
+    "matrix.txt": "matrix 2\n1 1\n1 1\n",
+    "graph.txt": "graph 6 6\n1 2\n1 6\n2 3\n3 4\n4 5\n5 6\n",  # a 6-cycle
+}
+
+SEARCH = {"graphs", "search"}
+FILES = {"formats", "graphs"}
+# command -> (argv, the cyclecreate modules beyond cli it loads)
+COMMANDS = {
+    "bounds": ("bounds --k 2", {"bounds"}),
+    "search H": ("search H --n 4 --k 4", SEARCH),
+    "search M": ("search M --n 4 --k 4", SEARCH),
+    "search RP": ("search RP --n 3", SEARCH),
+    "check claim7": ("check claim7 --m 3", SEARCH),
+    "verify creating": ("verify creating --k 2 --kind paths --in paths.txt", FILES),
+    "verify c2kfree": ("verify c2kfree --k 2 --in graph.txt", FILES | {"constructions"}),
+    "construct lower-bound": (
+        "construct lower-bound --n 7 --k 3 --out out.txt",
+        FILES | {"constructions"},
+    ),
+    "construct plane": ("construct plane --target-n 14 --out out.txt", FILES | {"constructions"}),
+    "count matchings": ("count matchings --in graph.txt", FILES | {"counting"}),
+    "count permanent": ("count permanent --in matrix.txt", FILES | {"counting"}),
+    "check lemma6": ("check lemma6 --in graph.txt", FILES | {"counting"}),
+    "reduce paths-to-matchings": (
+        "reduce paths-to-matchings --k 2 --in paths.txt --out out.txt",
+        FILES | {"reduction"},
+    ),
+    "reduce shrink": ("reduce shrink --in matchings.txt --out out.txt", FILES | {"reduction"}),
+    "check claim4": ("check claim4 --k 2 --in paths.txt", FILES | {"reduction"}),
+}
+
+# name in cli's table -> a command whose handler calls it
+USED_BY = {
+    "exponent_row": "bounds",
+    "exact_h": "search H",
+    "exact_m": "search M",
+    "exact_rp": "search RP",
+    "enumerate_permutations": "check claim7",
+    "build_compatibility_graph": "check claim7",
+    "perm_to_matching": "check claim7",
+    "parse_paths": "verify creating",
+    "verify_pairwise_creating": "verify creating",
+    "parse_graph": "verify c2kfree",
+    "validate_c2kfree_bipartite_regular": "verify c2kfree",
+    "lower_bound_family": "construct lower-bound",
+    "format_paths": "construct lower-bound",
+    "choose_plane_order": "construct plane",
+    "projective_plane_incidence": "construct plane",
+    "format_graph": "construct plane",
+    "count_perfect_matchings": "count matchings",
+    "parse_matrix": "count permanent",
+    "permanent_ryser": "count permanent",
+    "check_regular_matching_bound": "check lemma6",
+    "pigeonhole_largest_class": "reduce paths-to-matchings",
+    "strip_to_matchings": "reduce paths-to-matchings",
+    "parse_matchings": "reduce shrink",
+    "ground_set_reduce": "reduce shrink",
+    "format_matchings": "reduce shrink",
+    "associated_triple": "check claim4",
+    "verify_fixed_edges_unused": "check claim4",
+}
+
+# runs `python -m cyclecreate ARGV...`, then prints the modules loaded by then
+PROBE = """
+import json, runpy, sys
+sys.argv = ["cyclecreate", *sys.argv[1:]]
+try:
+    runpy.run_module("cyclecreate", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_imports_only_the_modules_it_runs(command, workdir):
+    argv, expected = COMMANDS[command]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv.split()], capture_output=True, text=True, env=env
+    )
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["code"] == 0, done.stderr
+    loaded = {
+        name.partition(".")[2] for name in probe["modules"] if name.startswith("cyclecreate.")
+    }
+    assert loaded - {"__main__"} == {"cli"} | expected
+    if command == "bounds" or command.startswith("search"):
+        assert "hashlib" not in probe["modules"]
+    if command == "verify creating":
+        assert "fractions" not in probe["modules"]
+
+
+def test_every_lazy_cli_name_is_exercised():
+    assert set(USED_BY) == set(cli._HOME)
+    assert set(USED_BY.values()) <= set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(cli._HOME))
+def test_handlers_call_the_name_bound_on_the_cli_module(name, workdir, monkeypatch):
+    real, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert cli.main(COMMANDS[USED_BY[name]][0].split()) == 0
+    assert calls

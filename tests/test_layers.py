@@ -5,6 +5,8 @@ with the package itself and its __main__ on top."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import cyclecreate
 from cyclecreate import cli, constructions, counting, search
 
@@ -55,6 +57,22 @@ def test_intra_package_imports_follow_the_layers():
             if (importer, imported, names) == ("cli", "__init__", ("__version__",)):
                 continue
             assert LAYERS[imported] < LAYERS[importer], f"{importer} imports {imported} {names}"
+    # the package and the CLI import these names on first use, by module name
+    for importer, table in (("__init__", cyclecreate._HOME), ("cli", cli._HOME)):
+        for name, module in table.items():
+            assert LAYERS[module] < LAYERS[importer], f"{importer} imports {module} {name}"
+            assert name in defined_names(module), f"{module} does not define {name}"
+
+
+def defined_names(module: str) -> set[str]:
+    """The names a module's own top level defines."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
 
 
 def test_private_names_are_imported_only_from_graphs():
@@ -133,20 +151,35 @@ def test_benchmark_traced_functions_exist():
 LIBRARY = ("graphs", "bounds", "constructions", "counting", "reduction", "search")
 
 
-def test_package_reexports_exactly_the_library_modules_public_names():
-    # formats and cli are reached through their modules, never the package
-    public = {
+def library_public_names() -> set[tuple[str, str]]:
+    return {
         (module, node.name)
         for module in LIBRARY
         for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
-    exported = {
-        (node.module, alias.name)
-        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+
+
+def test_package_reexports_exactly_the_library_modules_public_names():
+    # formats and cli are reached through their modules, never the package
+    public = library_public_names()
+    exported = {(module, name) for name, module in cyclecreate._HOME.items()}
     assert exported == public
     for module, name in exported:
         assert getattr(cyclecreate, name) is getattr(getattr(cyclecreate, module), name)
+
+
+def test_star_import_and_dir_list_the_public_surface():
+    public = {name for _, name in library_public_names()}
+    namespace: dict = {}
+    exec("from cyclecreate import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
+    assert public <= set(dir(cyclecreate))
+    assert "__version__" in dir(cyclecreate)
+
+
+@pytest.mark.parametrize("module", [cyclecreate, cli])
+def test_unknown_lazy_attribute_raises_attribute_error_naming_it(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    assert not hasattr(module, "FormatError")  # defined in formats, but not in the table
