@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from operator import add, sub
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import LabeledGraph, bipartition
 
 Entry = int | Fraction
-MAX_PERMANENT_SIZE = 26  # Glynn's formula takes 2^(m-1) steps
+# The cap on the input's m, checked before any sparse line is removed; Glynn's
+# formula then takes at most 2^(m-1) <= 2^25 steps
+MAX_PERMANENT_SIZE = 26
 
 
 @dataclass(frozen=True, init=False)
@@ -58,20 +60,81 @@ def biadjacency(g: LabeledGraph) -> tuple[BiadjacencyMatrix, tuple[int, ...], tu
 
 
 def permanent_ryser(matrix: BiadjacencyMatrix) -> Entry:
-    """Permanent by Glynn's formula (Europ. J. Combin. 2010); the name is kept
+    """Permanent by Glynn's formula (Europ. J. Combin. 2010) after removing
+    every row and column with at most two nonzero entries; the name is kept
     for API stability.
+
+    The size cap applies to the input, before any line is removed.  Each
+    removal drops one row and one column and never branches (see
+    `_shed_sparse_lines`), so Glynn's loop then takes at most 2^(m-1) steps,
+    and none once the whole matrix is gone.  Integer matrices give an int.
+    """
+    m = matrix.m
+    if m > MAX_PERMANENT_SIZE:
+        raise ValueError(f"the permanent is limited to m <= {MAX_PERMANENT_SIZE}, got {m}")
+    factor, rows = _shed_sparse_lines(matrix.rows)
+    return factor * _glynn(rows)
+
+
+def _shed_sparse_lines(rows: Sequence[Sequence[Entry]]) -> tuple[Entry, list[list[Entry]]]:
+    """Factor f and matrix B with per(rows) = f * per(B), where every row and
+    column of B has at least three nonzero entries.
+
+    Per(A) = per(A^T), so a sparse column is taken as a row of the transpose.
+    A row with no nonzero entry makes the permanent 0.  A row with one, a at
+    column j, multiplies f by a and drops row and column j.  A row with two, a
+    at j1 and b at j2, expands to a * per(minor at j1) + b * per(minor at j2);
+    the permanent is linear in each column, so that is the permanent of the
+    matrix without the row whose columns j1 and j2 are replaced by the single
+    column b * col_j1 + a * col_j2.
+    """
+    factor: Entry = 1
+    rows = [list(row) for row in rows]
+    while rows:
+        found = _sparse_row(rows)
+        if found is None:
+            rows = [list(column) for column in zip(*rows)]
+            found = _sparse_row(rows)
+            if found is None:
+                break
+        i, support = found
+        row = rows.pop(i)
+        if not support:
+            return 0, []
+        if len(support) == 1:
+            (j,) = support
+            factor *= row[j]
+            for other in rows:
+                del other[j]
+        else:
+            j1, j2 = support
+            a, b = row[j1], row[j2]
+            for other in rows:
+                other[j1] = b * other[j1] + a * other[j2]
+                del other[j2]
+    return factor, rows
+
+
+def _sparse_row(rows: list[list[Entry]]) -> tuple[int, list[int]] | None:
+    """First row with at most two nonzero entries, and their columns."""
+    for i, row in enumerate(rows):
+        support = [j for j, entry in enumerate(row) if entry]
+        if len(support) <= 2:
+            return i, support
+    return None
+
+
+def _glynn(rows: Sequence[Sequence[Entry]]) -> Entry:
+    """Glynn's formula in 2^(m-1) steps.
 
     Per(A) = 2^-(m-1) * sum over sign vectors d with d[0] = +1 of
     (prod_i d[i]) * prod_j sum_i d[i] a[i][j].  Gray code order flips one
     row's sign per step, which moves the column sums by twice that row and
     flips the sign of the term.  Integer matrices give an int.
     """
-    m = matrix.m
-    if m > MAX_PERMANENT_SIZE:
-        raise ValueError(f"the permanent is limited to m <= {MAX_PERMANENT_SIZE}, got {m}")
+    m = len(rows)
     if m == 0:
         return 1
-    rows = matrix.rows
     doubled = [[2 * entry for entry in row] for row in rows[1:]]
     sums = [sum(column) for column in zip(*rows)]
     total = prod(sums)

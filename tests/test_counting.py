@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from cyclecreate import counting
 from cyclecreate.counting import (
     MAX_PERMANENT_SIZE,
     BiadjacencyMatrix,
@@ -102,9 +103,9 @@ def test_permanent_routes_agree_random_fraction_matrices():
             assert permanent_ryser(matrix) == permanent_naive(matrix), rows
 
 
-# OEIS A000166 (derangements) and A000179 (menage numbers), m = 10, 11, 12
-DERANGEMENTS = {10: 1334961, 11: 14684570, 12: 176214841}
-MENAGE = {10: 439792, 11: 4890741, 12: 59216642}
+# OEIS A000166 (derangements) and A000179 (menage numbers), m = 10, 11, 12, 16
+DERANGEMENTS = {10: 1334961, 11: 14684570, 12: 176214841, 16: 7697064251745}
+MENAGE = {10: 439792, 11: 4890741, 12: 59216642, 16: 2649391469058}
 
 
 def zero_diagonals(m, offsets):
@@ -120,6 +121,47 @@ def test_permanent_closed_forms_above_the_naive_limit():
         assert type(ones) is int and ones == factorial(m)
         assert permanent_ryser(zero_diagonals(m, (0,))) == DERANGEMENTS[m]
         assert permanent_ryser(zero_diagonals(m, (0, 1))) == MENAGE[m]
+
+
+def ones_on_diagonals(m, offsets, rng):
+    """0/1 matrix with ones where (column - row) mod m is in offsets, rows
+    and columns shuffled."""
+    row_order, col_order = list(range(m)), list(range(m))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    return BiadjacencyMatrix(
+        [[1 if (j - i) % m in offsets else 0 for j in col_order] for i in row_order]
+    )
+
+
+def test_sparse_lines_go_before_glynn(monkeypatch):
+    sizes = []
+    glynn = counting._glynn
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return glynn(rows)
+
+    monkeypatch.setattr(counting, "_glynn", spy)
+    rng = random.Random(51004)
+    # I + P, two ones in every line: removed line by line, Glynn never runs on more than one row
+    for m in (16, 17, 18, 26):
+        sizes.clear()
+        assert permanent_ryser(ones_on_diagonals(m, (0, 1), rng)) == 2
+        assert all(size <= 1 for size in sizes), (m, sizes)
+    sizes.clear()
+    assert count_perfect_matchings(cycle_graph(52)) == 2
+    assert all(size <= 1 for size in sizes), sizes
+    # J, J - I, J - I - P: no sparse line, so Glynn runs once on the whole matrix
+    m = 16
+    for offsets, expected in (
+        (range(m), factorial(m)),
+        (range(1, m), DERANGEMENTS[m]),
+        (range(2, m), MENAGE[m]),
+    ):
+        sizes.clear()
+        assert permanent_ryser(ones_on_diagonals(m, offsets, rng)) == expected
+        assert sizes == [m]
 
 
 def test_permanent_of_uniform_doubly_stochastic():
@@ -139,6 +181,9 @@ def test_permanent_size_guard():
     assert MAX_PERMANENT_SIZE == 26
     with pytest.raises(ValueError, match=r"^the permanent is limited to m <= 26, got 27$"):
         permanent_ryser(BiadjacencyMatrix([[1] * 27] * 27))
+    # the cap bounds the input, before any sparse line is removed: I + P would go at once
+    with pytest.raises(ValueError, match=r"^the permanent is limited to m <= 26, got 27$"):
+        permanent_ryser(ones_on_diagonals(27, (0, 1), random.Random(51006)))
     with pytest.raises(ValueError, match=r"m <= 26, got 27$"):
         count_perfect_matchings(complete_bipartite(27, 27))
     with pytest.raises(ValueError, match=r"m <= 26, got 31$"):

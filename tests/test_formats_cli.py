@@ -404,10 +404,16 @@ def test_cli_refuses_sizes_past_the_caps(capsys, tmp_path):
     # the permanent of a 27 x 27 matrix, and the q = 5 plane (m = 31) through both graph commands
     matrix = tmp_path / "ones.matrix"
     matrix.write_text(format_matrix(BiadjacencyMatrix([[1] * 27] * 27)))
+    # I + P: every line has two nonzero entries, but the cap applies to the input size
+    sparse = tmp_path / "sparse.matrix"
+    sparse.write_text(
+        format_matrix(BiadjacencyMatrix([[int((j - i) % 27 < 2) for j in range(27)] for i in range(27)]))
+    )
     plane = tmp_path / "plane.graph"
     assert run_cli(capsys, ["construct", "plane", "--q", "5", "--out", str(plane)])[0] == 0
     for argv, m in (
         (["count", "permanent", "--in", str(matrix)], 27),
+        (["count", "permanent", "--in", str(sparse)], 27),
         (["count", "matchings", "--in", str(plane)], 31),
         (["check", "lemma6", "--in", str(plane)], 31),
     ):
