@@ -4,9 +4,10 @@ independent set search over pairwise compatibility graphs.
 Compatibility graphs index their objects 0-based and store adjacency as
 bitmasks.  One decision search, branch and bound with greedy coloring bounds,
 answers "is there a clique of size t?".  The clique number is found by raising
-t from 1 until the search refuses, and the lexicographically least optimal
-witness is then built vertex by vertex with the same search.  Witnesses are
-re-verified against the defining relation before being returned.
+t from 1 until the search refuses or a certificate (below) shows that it
+would, and the lexicographically least optimal witness is then built vertex by
+vertex with the same search.  Witnesses are re-verified against the defining
+relation before being returned.
 
 When the objects are a full enumeration (every Hamiltonian path, perfect
 matching or permutation on one ground set, each once), relabelling the ground
@@ -16,6 +17,13 @@ included, then lies in a maximum clique, and the search of a graph that
 build_compatibility_graph made from such objects starts from object 0 inside
 its neighbourhood.  The witness is the same lexicographically least
 one either way.
+
+On a vertex-transitive graph with N vertices, alpha * omega <= N (the
+clique-coclique bound of Albertson and Collins), so an independent set of size
+a proves omega <= N // a, and a clique bounds alpha the same way.  On full
+enumerations each step of the count-up races the other side's search for such
+a certificate, with equal deterministic work budgets; a certificate ends the
+count-up without the step that fails, often the costliest one.
 """
 
 from __future__ import annotations
@@ -187,18 +195,33 @@ def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[i
     return order, colors
 
 
-def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
-    """Early-exit decision: does the candidate mask hold a clique of size target?"""
+class _OutOfBudget(Exception):
+    """A budgeted _has_clique call ran out of colorings before an answer."""
+
+
+def _has_clique(
+    adjacency: Sequence[int], cand: int, target: int, budget: int | None = None
+) -> bool | None:
+    """Early-exit decision: does the candidate mask hold a clique of size target?
+
+    With a budget, the search gives up after that many colorings and returns
+    None instead of an answer.
+    """
     if target <= 0:
         return True
     if cand.bit_count() < target:
         return False
+    left = -1 if budget is None else budget  # counting down from -1 never reaches 0
 
     def expand(size: int, cand: int) -> bool:
+        nonlocal left
         if size >= target:
             return True
         if not cand:
             return False
+        if left == 0:
+            raise _OutOfBudget
+        left -= 1
         order, colors = _color_order(cand, adjacency)
         for idx in range(len(order) - 1, -1, -1):
             if size + colors[idx] < target:
@@ -210,16 +233,42 @@ def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
                 return True
         return False
 
-    return expand(0, cand)
+    try:
+        return expand(0, cand)
+    except _OutOfBudget:
+        return None
+
+
+def _raced(
+    adjacency: Sequence[int], cand: int, target: int, other: Sequence[int], bound: int
+) -> bool:
+    """_has_clique(adjacency, cand, target), raced against a certificate that
+    the answer is no: a clique of size bound in the vertex-transitive graph
+    other, sought rooted at vertex 0.
+
+    Both sides run with the same coloring budgets, doubling from target (a
+    yes here takes at least target colorings), so the outcome does not depend
+    on timing.  A yes from the other side answers no here; a no from it ends
+    the race, and this side finishes alone.
+    """
+    budget = target
+    while True:
+        answer = _has_clique(adjacency, cand, target, budget)
+        if answer is not None:
+            return answer
+        rival = _has_clique(other, other[0], bound - 1, budget)
+        if rival is not None:
+            return False if rival else _has_clique(adjacency, cand, target)
+        budget *= 2
 
 
 def _lex_least_clique(
-    adjacency: Sequence[int], size: int, rooted: bool = False
+    adjacency: Sequence[int], size: int, rooted: bool = False, other: Sequence[int] | None = None
 ) -> tuple[int, ...]:
     """A maximum clique that is lexicographically least as a sorted index tuple.
 
     Both steps are decisions by _has_clique.  The clique number omega is found
-    by counting the target up from 1; the one call that fails proves that no
+    by counting the target up from 1 until a call fails, which proves that no
     larger clique exists.  Vertices are then taken in index order whenever a
     clique of the remaining size still fits among their common neighbours.
 
@@ -227,14 +276,28 @@ def _lex_least_clique(
     in some maximum clique, so the lexicographically least one starts with 0:
     the witness starts as [0], omega - 1 is counted up inside N(0), and the
     rebuild continues from index 1.  The result equals the unrooted one.
+
+    other, if given, is the complement of the graph.  It is used only with
+    rooted=True, where it is vertex-transitive too.  Such a graph on N
+    vertices has alpha * omega <= N (the clique-coclique bound), so an
+    independent set of size N // (w + 1) + 1 proves omega <= w.  Each
+    count-up step "a clique of size w + 1?" races the search for that
+    certificate (see _raced), which can end the count-up without the call
+    that fails.  The rebuild and the result are unchanged.
     """
     chosen: list[int] = []
     cand = (1 << size) - 1
     if rooted:
         chosen.append(0)
         cand = adjacency[0]
+
+    def holds(target: int) -> bool:
+        if not rooted or other is None:
+            return _has_clique(adjacency, cand, target)
+        return _raced(adjacency, cand, target, other, size // (len(chosen) + target) + 1)
+
     need = 0
-    while _has_clique(adjacency, cand, need + 1):
+    while holds(need + 1):
         need += 1
     for v in range(len(chosen), size):
         if need == 0:
@@ -280,26 +343,31 @@ def _full_orbit(objects: tuple) -> bool:
     return len(objects) == _orbit_size(kind, ground) == len(set(objects))
 
 
+def _complement(adjacency: Sequence[int]) -> tuple[int, ...]:
+    full = (1 << len(adjacency)) - 1
+    return tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(adjacency))
+
+
 def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number and the lexicographically least optimal witness.
 
     The witness is re-verified pair by pair against the stored relation before
     being returned.  A graph that build_compatibility_graph made from a full
-    enumeration is searched from object 0 (see _full_orbit); any other graph,
-    a hand-built one included, is searched in full.
+    enumeration is searched from object 0 (see _full_orbit), with independent
+    sets as certificates that end the search early (see _lex_least_clique);
+    any other graph, a hand-built one included, is searched in full.
     """
-    witness = _lex_least_clique(cg.adjacency, cg.size, getattr(cg, "_rooted", False))
+    rooted = getattr(cg, "_rooted", False)
+    other = _complement(cg.adjacency) if rooted else None
+    witness = _lex_least_clique(cg.adjacency, cg.size, rooted, other)
     _reverify(cg, witness, expect_related=True)
     return len(witness), witness
 
 
 def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number and the lexicographically least optimal witness."""
-    full = (1 << cg.size) - 1
-    complement = tuple(
-        (full & ~cg.adjacency[v]) & ~(1 << v) for v in range(cg.size)
-    )
-    witness = _lex_least_clique(complement, cg.size, getattr(cg, "_rooted", False))
+    rooted = getattr(cg, "_rooted", False)
+    witness = _lex_least_clique(_complement(cg.adjacency), cg.size, rooted, cg.adjacency)
     _reverify(cg, witness, expect_related=False)
     return len(witness), witness
 

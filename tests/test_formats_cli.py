@@ -493,6 +493,7 @@ README_GOLDEN = [
     ("cyclecreate reduce shrink --in pair.matchings --out smaller.matchings",
      "kept 1 of 2 members, deleted pair 1-2\n", ("smaller.matchings",)),
     ("cyclecreate search H --n 5 --k 3", "10\n", ()),
+    ("cyclecreate search H --n 6 --k 5", "10\n", ()),
     ("cyclecreate search M --n 6 --k 4", "3\n", ()),
     ("cyclecreate search RP --n 3", "2\n", ()),
     ("cyclecreate count matchings --in plane.graph", "3852\n", ()),

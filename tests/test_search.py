@@ -19,6 +19,7 @@ from cyclecreate.formats import format_matchings
 from cyclecreate.search import (
     CompatibilityGraph,
     _full_orbit,
+    _has_clique,
     _lex_least_clique,
     build_compatibility_graph,
     enumerate_ham_paths,
@@ -291,11 +292,24 @@ def test_rooted_route_on_circulant_graphs():
                 for v in range(n)
             )
             for graph in (adjacency, complement(adjacency)):
-                witness = _lex_least_clique(graph, n, rooted=True)
-                assert (len(witness), witness) == max_clique_oracle(graph, n), (n, steps)
+                expected = max_clique_oracle(graph, n)
+                # with and without the other side racing as a certificate
+                for other in (None, complement(graph)):
+                    witness = _lex_least_clique(graph, n, rooted=True, other=other)
+                    assert (len(witness), witness) == expected, (n, steps, other is None)
 
 
-def test_families_that_are_not_full_orbits_take_the_general_route():
+def never_race(monkeypatch):
+    """Fail the test if a search races a certificate: only full orbits may."""
+
+    def refuse(*args):
+        raise AssertionError("a graph that is not a full orbit raced a certificate")
+
+    monkeypatch.setattr(search, "_raced", refuse)
+
+
+def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
+    never_race(monkeypatch)
     paths = enumerate_ham_paths(4)
     missing = paths[:7] + paths[8:]
     duplicated = paths[:7] + [paths[0]] + paths[8:]
@@ -325,7 +339,8 @@ def test_families_that_are_not_full_orbits_take_the_general_route():
         assert len(_lex_least_clique(cg.adjacency, cg.size, rooted=True)) == 5 < max_clique(cg)[0] == 6
 
 
-def test_hand_built_graphs_of_full_orbits_take_the_general_route():
+def test_hand_built_graphs_of_full_orbits_take_the_general_route(monkeypatch):
+    never_race(monkeypatch)
     paths = enumerate_ham_paths(4)
     # the L = 4 relation with object 7 isolated: the rooted route would find 5
     built = build_compatibility_graph(paths, 4).adjacency
@@ -350,9 +365,9 @@ def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch
     spec.loader.exec_module(libjob)
     routes = []
 
-    def recording(adjacency, size, rooted=False):
+    def recording(adjacency, size, rooted=False, other=None):
         routes.append(rooted)
-        return _lex_least_clique(adjacency, size, rooted)
+        return _lex_least_clique(adjacency, size, rooted, other)
 
     monkeypatch.setattr(search, "_lex_least_clique", recording)
     rng = random.Random(41006)
@@ -370,6 +385,93 @@ def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch
         witness = _lex_least_clique(complement(cg.adjacency), cg.size)
         assert capsys.readouterr().out == libjob.result_line(len(witness), witness)
     assert routes == [True, True]
+
+
+# ------------------------------------------------------------
+# clique-coclique certificates on full orbits
+# ------------------------------------------------------------
+
+def colorings(monkeypatch, call):
+    """How many greedy colorings the search runs inside call()."""
+    count = 0
+    real = search._color_order
+
+    def counting(cand, adjacency):
+        nonlocal count
+        count += 1
+        return real(cand, adjacency)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_color_order", counting)
+        call()
+    return count
+
+
+def plain_count_up(monkeypatch):
+    """Turn the certificates off: each count-up step runs its own search alone."""
+
+    def alone(adjacency, cand, target, other, bound):
+        return search._has_clique(adjacency, cand, target)
+
+    monkeypatch.setattr(search, "_raced", alone)
+
+
+def test_budgeted_search_stops_without_an_answer(monkeypatch):
+    cg = build_compatibility_graph(enumerate_ham_paths(5), 4)
+    cand = cg.adjacency[0]
+    # omega = 12 on a vertex-transitive graph: N(0) holds a clique of 11, not of 12
+    for target, answer in ((11, True), (12, False)):
+        needed = colorings(monkeypatch, lambda: _has_clique(cg.adjacency, cand, target))
+        assert _has_clique(cg.adjacency, cand, target) is answer
+        assert _has_clique(cg.adjacency, cand, target, needed - 1) is None
+        assert _has_clique(cg.adjacency, cand, target, needed) is answer
+    assert _has_clique(cg.adjacency, cand, 0, 0) is True
+    assert _has_clique(cg.adjacency, 0b111, 4, 0) is False
+
+
+def test_certificates_change_no_value_or_witness(monkeypatch):
+    # the oracle is the plain count-up, on every full orbit where it finishes
+    rng = random.Random(41007)
+    both = (max_clique, max_independent_set)
+    cases = [(enumerate_ham_paths(6), 3, both), (enumerate_permutations(6), "reversing", (max_clique,))]
+    for target, n, relation in FULL_ORBITS:
+        objects = ENUMERATE[target](n)
+        for order in [objects] + [rng.sample(objects, len(objects)) for _ in range(2)]:
+            cases.append((order, relation, both))
+    graphs = [(build_compatibility_graph(objects, relation), solves) for objects, relation, solves in cases]
+    certified = [solve(cg) for cg, solves in graphs for solve in solves]
+    plain_count_up(monkeypatch)
+    assert [solve(cg) for cg, solves in graphs for solve in solves] == certified
+
+
+def test_certificate_work_counts(monkeypatch):
+    """Exact coloring counts, so a change to the race or the search shows."""
+    h5 = build_compatibility_graph(enumerate_ham_paths(5), 4)
+    matchings = enumerate_perfect_matchings(8)
+    random.Random(41008).shuffle(matchings)
+    m8 = build_compatibility_graph(matchings, 4)
+    # H5 L4: "alpha >= 5?" answers yes at the first budget, and alpha * omega
+    # <= 60 = N then proves omega <= 12 without the failing "omega >= 13?"
+    assert colorings(monkeypatch, lambda: max_clique(h5)) == 137
+    # shuffled M8 L4 alpha: alpha * omega = 90 < 105 = N, so no certificate
+    # exists; "omega >= 10?" answers no at once and the race costs 11 colorings
+    certified = colorings(monkeypatch, lambda: max_independent_set(m8))
+    assert certified == 13762
+    # the plain count-up is the search as it ran before the certificates
+    plain_count_up(monkeypatch)
+    assert colorings(monkeypatch, lambda: max_clique(h5)) == 13164
+    plain = colorings(monkeypatch, lambda: max_independent_set(m8))
+    assert plain == 13751 and certified <= 1.01 * plain
+
+
+def test_h6_independence_numbers_agree_rooted_and_unrooted():
+    # the certificates behind the H6 L5 and L6 pins, and H6 L4's, by both routes
+    pinned = {relation: witness for target, n, relation, solve, witness in PINNED_SEARCHES
+              if (target, n, solve) == ("H", 6, max_independent_set)}
+    for length, alpha in ((4, 8), (5, 36), (6, 24)):
+        cg = build_compatibility_graph(enumerate_ham_paths(6), length)
+        witness = _lex_least_clique(complement(cg.adjacency), cg.size)
+        assert max_independent_set(cg) == (alpha, witness) == (alpha, pinned[length]), length
 
 
 def test_clique_witness_members_are_pairwise_related():
@@ -436,6 +538,18 @@ PINNED_SEARCHES = [
     ("M", 8, 4, max_independent_set, (0, 4, 21, 25, 34, 38, 55, 59, 92, 94)),
     ("RP", 5, "reversing", max_independent_set,
      (0, 3, 8, 30, 42, 45, 64, 73, 81, 93, 96, 100, 108)),
+    # H6 L5 and L6 are not in METRICS.md.  The proof that no larger family
+    # exists is the clique-coclique certificate: the H6 graphs are
+    # vertex-transitive on N = 360 paths, so alpha * omega <= 360, and the
+    # independent sets pinned below (36 at L5, 24 at L6) give omega <= 10 and
+    # omega <= 15.  Neither finished in 60 s with the plain count-up.
+    ("H", 6, 5, max_clique, (0, 7, 12, 19, 26, 38, 44, 50, 55, 78)),
+    ("H", 6, 6, max_clique, (0, 26, 49, 74, 97, 129, 152, 167, 187, 202, 230, 251, 255, 307, 349)),
+    ("H", 6, 4, max_independent_set, (0, 1, 95, 121, 137, 237, 316, 336)),
+    ("H", 6, 5, max_independent_set,
+     (0, 5, 14, 16, 54, 59, 60, 65, 103, 105, 114, 119, 127, 129, 138, 143, 151, 158,
+      191, 195, 234, 239, 246, 247, 252, 261, 277, 287, 289, 299, 317, 322, 343, 345, 354, 359)),
+    ("H", 6, 6, max_independent_set, tuple(range(24))),
 ]
 
 
