@@ -19,6 +19,7 @@ from .graphs import (
 )
 
 MAX_LOWER_BOUND_BLOCKS = 9  # the family has ((n-1)/k)! paths
+MAX_PLANE_ORDER = 31  # the build checks all (q^2+q+1)^2 point-line pairs
 
 
 def lower_bound_family(n: int, k: int) -> list[HamPath]:
@@ -82,8 +83,11 @@ def projective_plane_incidence(q: int) -> PlaneIncidence:
     point lies on a line when the dot product of their representatives is zero
     mod q.  The result is (q+1)-regular, bipartite, and has girth 6.
 
-    Only prime q is supported; prime powers would need a field construction.
+    Only prime q up to MAX_PLANE_ORDER is supported; prime powers would need a
+    field construction.
     """
+    if q > MAX_PLANE_ORDER:
+        raise ValueError(f"the plane order is limited to q <= {MAX_PLANE_ORDER}, got {q}")
     if not _is_prime(q):
         raise ValueError(f"plane order must be a prime, got {q}")
     reps = sorted(
@@ -104,14 +108,14 @@ def projective_plane_incidence(q: int) -> PlaneIncidence:
 
 
 def choose_plane_order(n_target: int) -> tuple[int, int]:
-    """Largest prime q whose incidence graph fits in n_target vertices.
+    """Largest prime q <= MAX_PLANE_ORDER whose incidence graph fits in n_target vertices.
 
     Returns (q, 2 * (q^2 + q + 1)).  The smallest usable plane has order 2 and
     14 vertices, so n_target below 14 is an error.
     """
     if n_target < 14:
         raise ValueError(f"n_target must be at least 14, got {n_target}")
-    for q in range(isqrt(n_target // 2) + 1, 1, -1):
+    for q in range(min(isqrt(n_target // 2) + 1, MAX_PLANE_ORDER), 1, -1):
         if _is_prime(q) and 2 * (q * q + q + 1) <= n_target:
             return q, 2 * (q * q + q + 1)
     raise AssertionError("unreachable: q = 2 always fits once n_target >= 14")

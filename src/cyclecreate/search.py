@@ -22,8 +22,9 @@ On a vertex-transitive graph with N vertices, alpha * omega <= N (the
 clique-coclique bound of Albertson and Collins), so an independent set of size
 a proves omega <= N // a, and a clique bounds alpha the same way.  On full
 enumerations each step of the count-up races the other side's search for such
-a certificate, with equal deterministic work budgets; a certificate ends the
-count-up without the step that fails, often the costliest one.
+a certificate: the two searches take turns, each resumed where it stopped, in
+slices of deterministic length, and a certificate ends the count-up without
+the step that fails, often the costliest one.
 """
 
 from __future__ import annotations
@@ -195,48 +196,36 @@ def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[i
     return order, colors
 
 
-class _OutOfBudget(Exception):
-    """A budgeted _has_clique call ran out of colorings before an answer."""
+def _clique_search(adjacency: Sequence[int], cand: int, target: int):
+    """Does the candidate mask hold a clique of size target?  Branch and bound
+    with greedy coloring bounds, as a generator that can be paused and
+    resumed: it yields None before each coloring, and its last item is the
+    answer."""
 
-
-def _has_clique(
-    adjacency: Sequence[int], cand: int, target: int, budget: int | None = None
-) -> bool | None:
-    """Early-exit decision: does the candidate mask hold a clique of size target?
-
-    With a budget, the search gives up after that many colorings and returns
-    None instead of an answer.
-    """
-    if target <= 0:
-        return True
-    if cand.bit_count() < target:
-        return False
-    left = -1 if budget is None else budget  # counting down from -1 never reaches 0
-
-    def expand(size: int, cand: int) -> bool:
-        nonlocal left
+    def expand(size: int, cand: int):
         if size >= target:
             return True
         if not cand:
             return False
-        if left == 0:
-            raise _OutOfBudget
-        left -= 1
+        yield
         order, colors = _color_order(cand, adjacency)
         for idx in range(len(order) - 1, -1, -1):
             if size + colors[idx] < target:
                 return False
             v = order[idx]
-            bit = 1 << v
-            cand ^= bit
-            if expand(size + 1, cand & adjacency[v]):
+            cand ^= 1 << v
+            if (yield from expand(size + 1, cand & adjacency[v])):
                 return True
         return False
 
-    try:
-        return expand(0, cand)
-    except _OutOfBudget:
-        return None
+    # a target <= 0 answers yes, and too few candidates no, before any coloring
+    yield cand.bit_count() >= target and (yield from expand(0, cand))
+
+
+def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
+    """Early-exit decision: does the candidate mask hold a clique of size target?"""
+    *_, answer = _clique_search(adjacency, cand, target)
+    return answer
 
 
 def _raced(
@@ -246,24 +235,30 @@ def _raced(
     the answer is no: a clique of size bound in the vertex-transitive graph
     other, sought rooted at vertex 0.
 
-    Both sides run with the same coloring budgets, doubling from target (a
-    yes here takes at least target colorings), so the outcome does not depend
-    on timing.  A yes from the other side answers no here; a no from it ends
+    The two searches take turns, each resumed where it stopped, until each
+    has run target colorings in all, then 2 * target, and so on (a yes here
+    takes at least target colorings), so the outcome does not depend on
+    timing.  A yes from the other side answers no here; a no from it ends
     the race, and this side finishes alone.
     """
-    budget = target
+    own = _clique_search(adjacency, cand, target)
+    rival = _clique_search(other, other[0], bound - 1)
+    spent, step = target, target + 1  # the first item comes before any coloring
     while True:
-        answer = _has_clique(adjacency, cand, target, budget)
+        *_, answer = itertools.islice(own, step)
         if answer is not None:
             return answer
-        rival = _has_clique(other, other[0], bound - 1, budget)
-        if rival is not None:
-            return False if rival else _has_clique(adjacency, cand, target)
-        budget *= 2
+        *_, certified = itertools.islice(rival, step)
+        if certified is not None:
+            if certified:
+                return False
+            *_, answer = own
+            return answer
+        spent, step = 2 * spent, spent
 
 
 def _lex_least_clique(
-    adjacency: Sequence[int], size: int, rooted: bool = False, other: Sequence[int] | None = None
+    adjacency: Sequence[int], size: int, other: Sequence[int] | None = None
 ) -> tuple[int, ...]:
     """A maximum clique that is lexicographically least as a sorted index tuple.
 
@@ -272,27 +267,24 @@ def _lex_least_clique(
     larger clique exists.  Vertices are then taken in index order whenever a
     clique of the remaining size still fits among their common neighbours.
 
-    rooted=True is only for vertex-transitive graphs.  There every vertex lies
-    in some maximum clique, so the lexicographically least one starts with 0:
-    the witness starts as [0], omega - 1 is counted up inside N(0), and the
-    rebuild continues from index 1.  The result equals the unrooted one.
-
-    other, if given, is the complement of the graph.  It is used only with
-    rooted=True, where it is vertex-transitive too.  Such a graph on N
-    vertices has alpha * omega <= N (the clique-coclique bound), so an
-    independent set of size N // (w + 1) + 1 proves omega <= w.  Each
-    count-up step "a clique of size w + 1?" races the search for that
-    certificate (see _raced), which can end the count-up without the call
-    that fails.  The rebuild and the result are unchanged.
+    other, the complement, is given only for vertex-transitive graphs and
+    switches on both of the following; the result does not change.  Every
+    vertex lies in some maximum clique, so the lexicographically least one
+    starts with 0: the witness starts as [0], omega - 1 is counted up inside
+    N(0), and the rebuild continues from index 1.  And alpha * omega <= N
+    (the clique-coclique bound), so an independent set of size
+    N // (w + 1) + 1 proves omega <= w: each count-up step "a clique of size
+    w + 1?" races the search for that certificate (see _raced), which can end
+    the count-up without the call that fails.
     """
     chosen: list[int] = []
     cand = (1 << size) - 1
-    if rooted:
+    if other is not None:
         chosen.append(0)
         cand = adjacency[0]
 
     def holds(target: int) -> bool:
-        if not rooted or other is None:
+        if other is None:
             return _has_clique(adjacency, cand, target)
         return _raced(adjacency, cand, target, other, size // (len(chosen) + target) + 1)
 
@@ -357,17 +349,18 @@ def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     sets as certificates that end the search early (see _lex_least_clique);
     any other graph, a hand-built one included, is searched in full.
     """
-    rooted = getattr(cg, "_rooted", False)
-    other = _complement(cg.adjacency) if rooted else None
-    witness = _lex_least_clique(cg.adjacency, cg.size, rooted, other)
+    other = _complement(cg.adjacency) if getattr(cg, "_rooted", False) else None
+    witness = _lex_least_clique(cg.adjacency, cg.size, other)
     _reverify(cg, witness, expect_related=True)
     return len(witness), witness
 
 
 def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
-    """Exact independence number and the lexicographically least optimal witness."""
-    rooted = getattr(cg, "_rooted", False)
-    witness = _lex_least_clique(_complement(cg.adjacency), cg.size, rooted, cg.adjacency)
+    """Exact independence number and the lexicographically least optimal
+    witness, found as max_clique finds its own on the complement: a full
+    enumeration is searched from object 0, with cliques as certificates."""
+    other = cg.adjacency if getattr(cg, "_rooted", False) else None
+    witness = _lex_least_clique(_complement(cg.adjacency), cg.size, other)
     _reverify(cg, witness, expect_related=False)
     return len(witness), witness
 

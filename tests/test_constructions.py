@@ -4,6 +4,7 @@ import pytest
 
 from cyclecreate.constructions import (
     MAX_LOWER_BOUND_BLOCKS,
+    MAX_PLANE_ORDER,
     ValidationReport,
     choose_plane_order,
     lower_bound_family,
@@ -104,6 +105,14 @@ def test_plane_rejects_nonprime_orders():
             projective_plane_incidence(q)
 
 
+def test_plane_order_cap():
+    # the cap is checked first, so a huge prime is refused without a primality scan
+    for q in (MAX_PLANE_ORDER + 1, 37, 1000003, 10**30):
+        with pytest.raises(ValueError, match=rf"^the plane order is limited to q <= 31, got {q}$"):
+            projective_plane_incidence(q)
+    assert MAX_PLANE_ORDER == 31
+
+
 def test_plane_every_point_pair_shares_one_line():
     plane = projective_plane_incidence(3)
     adj = plane.graph.adjacency
@@ -119,6 +128,9 @@ def test_choose_plane_order_examples():
     assert choose_plane_order(120) == (7, 114)
     with pytest.raises(ValueError, match="at least 14"):
         choose_plane_order(13)
+    # past the cap, the largest plane allowed
+    assert choose_plane_order(1986) == choose_plane_order(10**6) == choose_plane_order(10**30) == (31, 1986)
+    assert choose_plane_order(1985) == (29, 1742)
 
 
 def test_choose_plane_order_fits_and_is_maximal():

@@ -432,6 +432,15 @@ def test_cli_refuses_sizes_past_the_caps(capsys, tmp_path):
     assert manifest_of(stderr)["exit_code"] == 2 and manifest_of(stderr)["outputs"] == {}
     assert not out.exists()
 
+    # a plane order past the cap, prime or not, before any work
+    for q in ("37", "1000003"):
+        big = tmp_path / "big.graph"
+        code, stdout, stderr = run_cli(capsys, ["construct", "plane", "--q", q, "--out", str(big)])
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines()[0] == f"error: the plane order is limited to q <= 31, got {q}"
+        assert manifest_of(stderr)["exit_code"] == 2 and manifest_of(stderr)["outputs"] == {}
+        assert not big.exists()
+
 
 def test_cli_manifest_shape(capsys, tmp_path):
     out = tmp_path / "family.paths"

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import itertools
 import random
@@ -18,8 +19,8 @@ from cyclecreate import search
 from cyclecreate.formats import format_matchings
 from cyclecreate.search import (
     CompatibilityGraph,
+    _clique_search,
     _full_orbit,
-    _has_clique,
     _lex_least_clique,
     build_compatibility_graph,
     enumerate_ham_paths,
@@ -293,23 +294,25 @@ def test_rooted_route_on_circulant_graphs():
             )
             for graph in (adjacency, complement(adjacency)):
                 expected = max_clique_oracle(graph, n)
-                # with and without the other side racing as a certificate
+                # the general route, and the rooted one racing the other side
                 for other in (None, complement(graph)):
-                    witness = _lex_least_clique(graph, n, rooted=True, other=other)
+                    witness = _lex_least_clique(graph, n, other)
                     assert (len(witness), witness) == expected, (n, steps, other is None)
 
 
+@contextlib.contextmanager
 def never_race(monkeypatch):
-    """Fail the test if a search races a certificate: only full orbits may."""
+    """Fail the test if a search inside races a certificate: only full orbits may."""
 
     def refuse(*args):
         raise AssertionError("a graph that is not a full orbit raced a certificate")
 
-    monkeypatch.setattr(search, "_raced", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_raced", refuse)
+        yield
 
 
 def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
-    never_race(monkeypatch)
     paths = enumerate_ham_paths(4)
     missing = paths[:7] + paths[8:]
     duplicated = paths[:7] + [paths[0]] + paths[8:]
@@ -330,32 +333,36 @@ def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
     for objects, relation in families:
         cg = build_compatibility_graph(objects, relation)
         assert not _full_orbit(cg.objects), (objects, relation)
-        assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size), (objects, relation)
         expected = max_clique_oracle(complement(cg.adjacency), cg.size)
-        assert max_independent_set(cg) == expected, (objects, relation)
+        with never_race(monkeypatch):
+            assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size), (objects, relation)
+            assert max_independent_set(cg) == expected, (objects, relation)
     # on these the rooted route would miss the optimum, so the guard matters
     for objects in (missing, duplicated):
         cg = build_compatibility_graph(objects, 4)
-        assert len(_lex_least_clique(cg.adjacency, cg.size, rooted=True)) == 5 < max_clique(cg)[0] == 6
+        rooted = _lex_least_clique(cg.adjacency, cg.size, other=complement(cg.adjacency))
+        with never_race(monkeypatch):
+            assert len(rooted) == 5 < max_clique(cg)[0] == 6
 
 
 def test_hand_built_graphs_of_full_orbits_take_the_general_route(monkeypatch):
-    never_race(monkeypatch)
     paths = enumerate_ham_paths(4)
     # the L = 4 relation with object 7 isolated: the rooted route would find 5
     built = build_compatibility_graph(paths, 4).adjacency
     adjacency = tuple(0 if v == 7 else mask & ~(1 << 7) for v, mask in enumerate(built))
     cg = CompatibilityGraph(tuple(paths), adjacency, 4)
-    assert len(_lex_least_clique(adjacency, cg.size, rooted=True)) == 5
-    assert max_clique(cg) == max_clique_oracle(adjacency, cg.size) == (6, (1, 2, 4, 6, 8, 9))
+    assert len(_lex_least_clique(adjacency, cg.size, other=complement(adjacency))) == 5
+    with never_race(monkeypatch):
+        assert max_clique(cg) == max_clique_oracle(adjacency, cg.size) == (6, (1, 2, 4, 6, 8, 9))
     # the L = 3 relation with object 7 joined to all: the rooted route would find 3
     built = build_compatibility_graph(paths, 3).adjacency
     full = (1 << len(paths)) - 1
     adjacency = tuple(full ^ 1 << 7 if v == 7 else mask | 1 << 7 for v, mask in enumerate(built))
     cg = CompatibilityGraph(tuple(paths), adjacency, 3)
-    assert len(_lex_least_clique(complement(adjacency), cg.size, rooted=True)) == 3
-    assert max_independent_set(cg) == max_clique_oracle(complement(adjacency), cg.size)
-    assert max_independent_set(cg)[0] == 4
+    assert len(_lex_least_clique(complement(adjacency), cg.size, other=adjacency)) == 3
+    with never_race(monkeypatch):
+        assert max_independent_set(cg) == max_clique_oracle(complement(adjacency), cg.size)
+        assert max_independent_set(cg)[0] == 4
 
 
 def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch, capsys):
@@ -365,9 +372,9 @@ def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch
     spec.loader.exec_module(libjob)
     routes = []
 
-    def recording(adjacency, size, rooted=False, other=None):
-        routes.append(rooted)
-        return _lex_least_clique(adjacency, size, rooted, other)
+    def recording(adjacency, size, other=None):
+        routes.append(other is not None)
+        return _lex_least_clique(adjacency, size, other)
 
     monkeypatch.setattr(search, "_lex_least_clique", recording)
     rng = random.Random(41006)
@@ -416,17 +423,37 @@ def plain_count_up(monkeypatch):
     monkeypatch.setattr(search, "_raced", alone)
 
 
-def test_budgeted_search_stops_without_an_answer(monkeypatch):
-    cg = build_compatibility_graph(enumerate_ham_paths(5), 4)
-    cand = cg.adjacency[0]
+def test_paused_search_resumes_where_it_stopped(monkeypatch):
+    adjacency = build_compatibility_graph(enumerate_ham_paths(5), 4).adjacency
+
+    def paused(target, cand, split):
+        """A search paused after split items and then resumed: its items, and
+        the colorings run before and after the pause."""
+        clique_search = _clique_search(adjacency, cand, target)
+        head, rest = [], []
+        before = colorings(monkeypatch, lambda: head.extend(itertools.islice(clique_search, split)))
+        after = colorings(monkeypatch, lambda: rest.extend(clique_search))
+        return head + rest, before, after
+
     # omega = 12 on a vertex-transitive graph: N(0) holds a clique of 11, not of 12
-    for target, answer in ((11, True), (12, False)):
-        needed = colorings(monkeypatch, lambda: _has_clique(cg.adjacency, cand, target))
-        assert _has_clique(cg.adjacency, cand, target) is answer
-        assert _has_clique(cg.adjacency, cand, target, needed - 1) is None
-        assert _has_clique(cg.adjacency, cand, target, needed) is answer
-    assert _has_clique(cg.adjacency, cand, 0, 0) is True
-    assert _has_clique(cg.adjacency, 0b111, 4, 0) is False
+    for target, answer, total in ((11, True, 11), (12, False, 13043)):
+        items = [None] * total + [answer]
+        # every split of the short search; of the long one, whose splits are
+        # each a full run, a sample
+        splits = range(total + 2) if total < 100 else (0, 1, 2, 12, 6000, total, total + 1)
+        for split in splits:
+            # taking k + 1 items runs exactly k colorings, and resuming runs the rest
+            ran = max(split - 1, 0)
+            assert paused(target, adjacency[0], split) == (items, ran, total - ran), (target, split)
+    # the long search paused after every item, with the short one run in the pauses
+    long, short = (_clique_search(adjacency, adjacency[0], target) for target in (12, 11))
+    steps = []
+    ran = colorings(monkeypatch, lambda: steps.extend((next(long), next(short, None)) for _ in range(13044)))
+    assert steps == [(None, None)] * 11 + [(None, True)] + [(None, None)] * 13031 + [(False, None)]
+    assert ran == 13043 + 11 and next(long, "done") == "done"
+    # a target <= 0 answers yes and too few candidates no, before any coloring
+    for target, cand, answer in ((0, adjacency[0], True), (-1, 0, True), (4, 0b111, False), (1, 0, False)):
+        assert paused(target, cand, 1) == ([answer], 0, 0)
 
 
 def test_certificates_change_no_value_or_witness(monkeypatch):
@@ -454,9 +481,13 @@ def test_certificate_work_counts(monkeypatch):
     # <= 60 = N then proves omega <= 12 without the failing "omega >= 13?"
     assert colorings(monkeypatch, lambda: max_clique(h5)) == 137
     # shuffled M8 L4 alpha: alpha * omega = 90 < 105 = N, so no certificate
-    # exists; "omega >= 10?" answers no at once and the race costs 11 colorings
+    # exists; "omega >= 10?" answers no at once and the race costs 1 coloring
     certified = colorings(monkeypatch, lambda: max_independent_set(m8))
-    assert certified == 13762
+    assert certified == 13752
+    # RP6 omega: "alpha >= 56?" never answers first, so the race costs the
+    # rival's slices, 90 colorings over the plain count-up's 8,014
+    rp6 = build_compatibility_graph(enumerate_permutations(6), "reversing")
+    assert colorings(monkeypatch, lambda: max_clique(rp6)) == 8104
     # the plain count-up is the search as it ran before the certificates
     plain_count_up(monkeypatch)
     assert colorings(monkeypatch, lambda: max_clique(h5)) == 13164
