@@ -23,40 +23,24 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 # The library functions the handlers call, imported on first use so that each
-# command loads only the modules it runs.  The handlers reach them through
-# this module's attributes (_cli.name), so a replaced cli.name is the one run.
-_HOME = {
-    name: module
-    for module, names in {
-        "bounds": "exponent_row",
-        "constructions": (
-            "choose_plane_order lower_bound_family projective_plane_incidence "
-            "validate_c2kfree_bipartite_regular"
-        ),
-        "counting": "check_regular_matching_bound count_perfect_matchings permanent_ryser",
-        "formats": (
-            "format_graph format_matchings format_paths parse_graph parse_matchings "
-            "parse_matrix parse_paths"
-        ),
-        "graphs": "verify_pairwise_creating",
-        "reduction": (
-            "associated_triple ground_set_reduce pigeonhole_largest_class strip_to_matchings "
-            "verify_fixed_edges_unused"
-        ),
-        "search": (
-            "build_compatibility_graph enumerate_permutations exact_h exact_m exact_rp "
-            "perm_to_matching"
-        ),
-    }.items()
-    for name in names.split()
-}
+# command loads only the modules it runs: the formats names from formats (the
+# package does not re-export them), any other public name through the package.
+# Handlers call them as _cli.name, so a replaced cli.name is the one run.
+_FORMATS = frozenset(
+    "format_graph format_matchings format_paths parse_graph parse_matchings parse_matrix "
+    "parse_paths".split()
+)
 _cli = sys.modules[__name__]
+_package = sys.modules[__package__]
 
 
 def __getattr__(name: str):
-    if name not in _HOME:
+    if name in _FORMATS:
+        value = getattr(importlib.import_module(".formats", __package__), name)
+    elif name in _package.__all__:
+        value = getattr(_package, name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __package__), name)
     globals()[name] = value
     return value
 
@@ -161,13 +145,11 @@ def _cmd_search(args, inputs, outputs) -> int:
         if args.k is not None:
             raise ValueError("search RP takes no --k")
         value, _ = _cli.exact_rp(args.n)
+    elif args.k is None:
+        raise ValueError(f"search {args.target} needs --k, the exact cycle length")
     elif args.target == "H":
-        if args.k is None:
-            raise ValueError("search H needs --k, the exact cycle length")
         value, _ = _cli.exact_h(args.n, args.k)
     else:
-        if args.k is None:
-            raise ValueError("search M needs --k, the exact cycle length")
         value, _ = _cli.exact_m(args.n, args.k)
     print(value)
     return 0
@@ -188,7 +170,7 @@ def _cmd_count_permanent(args, inputs, outputs) -> int:
 def _cmd_check_lemma6(args, inputs, outputs) -> int:
     g = _cli.parse_graph(_read(args.infile, inputs))
     report = _cli.check_regular_matching_bound(g)
-    bound = f"{report.bound.numerator}/{report.bound.denominator}"
+    bound = _rational(report.bound, False)
     if report.passed and report.doubly_stochastic:
         print(f"ok {report.count} matchings >= bound {bound}")
         return 0
@@ -277,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lower.add_argument("--n", type=int, required=True, help="vertex count, congruent to 1 mod k")
     lower.add_argument("--k", type=int, required=True, help="half the created cycle length")
     lower.add_argument("--out", required=True, help="output paths file")
-    lower.set_defaults(handler=_cmd_construct_lower_bound, command_path="construct lower-bound")
+    lower.set_defaults(handler=_cmd_construct_lower_bound)
     plane = construct_sub.add_parser(
         "plane", help="projective plane incidence graph of prime order"
     )
@@ -287,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target-n", type=int, dest="target_n", help="pick the largest order fitting this many vertices"
     )
     plane.add_argument("--out", required=True, help="output graph file")
-    plane.set_defaults(handler=_cmd_construct_plane, command_path="construct plane")
+    plane.set_defaults(handler=_cmd_construct_plane)
 
     verify = sub.add_parser("verify", help="check families and graphs")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -295,13 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
     creating.add_argument("--k", type=int, required=True, help="half the created cycle length")
     creating.add_argument("--kind", choices=("paths", "matchings"), required=True)
     creating.add_argument("--in", dest="infile", required=True, help="input family file")
-    creating.set_defaults(handler=_cmd_verify_creating, command_path="verify creating")
+    creating.set_defaults(handler=_cmd_verify_creating)
     c2kfree = verify_sub.add_parser(
         "c2kfree", help="bipartite, regular, and free of cycles up to length 2k"
     )
     c2kfree.add_argument("--k", type=int, required=True, help="half the forbidden cycle length")
     c2kfree.add_argument("--in", dest="infile", required=True, help="input graph file")
-    c2kfree.set_defaults(handler=_cmd_verify_c2kfree, command_path="verify c2kfree")
+    c2kfree.set_defaults(handler=_cmd_verify_c2kfree)
 
     reduce_cmd = sub.add_parser("reduce", help="shrink families while keeping the pairwise property")
     reduce_sub = reduce_cmd.add_subparsers(dest="subcommand", required=True)
@@ -311,26 +293,26 @@ def _build_parser() -> argparse.ArgumentParser:
     paths_to.add_argument("--k", type=int, required=True, help="half the created cycle length")
     paths_to.add_argument("--in", dest="infile", required=True, help="input paths file")
     paths_to.add_argument("--out", required=True, help="output matchings file")
-    paths_to.set_defaults(handler=_cmd_reduce_paths, command_path="reduce paths-to-matchings")
+    paths_to.set_defaults(handler=_cmd_reduce_paths)
     shrink = reduce_sub.add_parser("shrink", help="delete vertex 1 and its most common partner")
     shrink.add_argument("--in", dest="infile", required=True, help="input matchings file")
     shrink.add_argument("--out", required=True, help="output matchings file")
-    shrink.set_defaults(handler=_cmd_reduce_shrink, command_path="reduce shrink")
+    shrink.set_defaults(handler=_cmd_reduce_shrink)
 
     search = sub.add_parser("search", help="exact extremal family sizes by clique search")
     search.add_argument("target", choices=("H", "M", "RP"), help="paths, matchings, or permutations")
     search.add_argument("--n", type=int, required=True, help="ground set size")
     search.add_argument("--k", type=int, help="exact cycle length for H and M")
-    search.set_defaults(handler=_cmd_search, command_path="search")
+    search.set_defaults(handler=_cmd_search)
 
     count = sub.add_parser("count", help="exact counts")
     count_sub = count.add_subparsers(dest="subcommand", required=True)
     matchings_cmd = count_sub.add_parser("matchings", help="perfect matchings of a bipartite graph")
     matchings_cmd.add_argument("--in", dest="infile", required=True, help="input graph file")
-    matchings_cmd.set_defaults(handler=_cmd_count_matchings, command_path="count matchings")
+    matchings_cmd.set_defaults(handler=_cmd_count_matchings)
     permanent_cmd = count_sub.add_parser("permanent", help="permanent of an integer matrix")
     permanent_cmd.add_argument("--in", dest="infile", required=True, help="input matrix file")
-    permanent_cmd.set_defaults(handler=_cmd_count_permanent, command_path="count permanent")
+    permanent_cmd.set_defaults(handler=_cmd_count_permanent)
 
     check = sub.add_parser("check", help="verify the structural facts behind the pipeline")
     check_sub = check.add_subparsers(dest="subcommand", required=True)
@@ -338,24 +320,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "lemma6", help="matching count of a regular bipartite graph meets r^m * m!/m^m"
     )
     lemma6.add_argument("--in", dest="infile", required=True, help="input graph file")
-    lemma6.set_defaults(handler=_cmd_check_lemma6, command_path="check lemma6")
+    lemma6.set_defaults(handler=_cmd_check_lemma6)
     claim4 = check_sub.add_parser(
         "claim4", help="cycles of length 2k between triple-sharing paths avoid the shared blocks"
     )
     claim4.add_argument("--k", type=int, required=True, help="half the created cycle length")
     claim4.add_argument("--in", dest="infile", required=True, help="input paths file")
-    claim4.set_defaults(handler=_cmd_check_claim4, command_path="check claim4")
+    claim4.set_defaults(handler=_cmd_check_claim4)
     claim7 = check_sub.add_parser(
         "claim7", help="reversing permutations match 4-cycle creating matchings"
     )
     claim7.add_argument("--m", type=int, required=True, help="permutation size (at most 6)")
-    claim7.set_defaults(handler=_cmd_check_claim7, command_path="check claim7")
+    claim7.set_defaults(handler=_cmd_check_claim7)
 
     bounds_cmd = sub.add_parser("bounds", help="exact rational growth exponents")
     bounds_cmd.add_argument("--k", type=int, required=True, help="half the cycle length")
     bounds_cmd.add_argument("--kmax", type=int, help="print rows for k..kmax")
     bounds_cmd.add_argument("--decimal", action="store_true", help="print decimal approximations")
-    bounds_cmd.set_defaults(handler=_cmd_bounds, command_path="bounds")
+    bounds_cmd.set_defaults(handler=_cmd_bounds)
 
     return parser
 
@@ -365,7 +347,7 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_SKIP_PARAMS = frozenset({"handler", "command_path", "command", "subcommand"})
+_SKIP_PARAMS = frozenset({"handler", "command", "subcommand"})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,15 +362,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unrecognized arguments: {argv[0]}")
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed a usage error or the help text
-        args, code = argparse.Namespace(command_path=None), exc.code
+        args, command, code = argparse.Namespace(), None, exc.code
     else:
+        command = f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
         try:
             code = args.handler(args, inputs, outputs)
         except (ValueError, TypeError, OSError, RecursionError) as exc:  # FormatError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             code = 2
     manifest = {
-        "command": args.command_path,
+        "command": command,
         "parameters": {
             key: value
             for key, value in sorted(vars(args).items())

@@ -3,12 +3,13 @@ graphs -> {bounds, constructions, counting, reduction, search} -> formats -> cli
 with the package itself and its __main__ on top."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import cyclecreate
-from cyclecreate import cli, constructions, counting, search
+from cyclecreate import cli, constructions, counting, formats, search
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cyclecreate"
@@ -57,11 +58,12 @@ def test_intra_package_imports_follow_the_layers():
             if (importer, imported, names) == ("cli", "__init__", ("__version__",)):
                 continue
             assert LAYERS[imported] < LAYERS[importer], f"{importer} imports {imported} {names}"
-    # the package and the CLI import these names on first use, by module name
-    for importer, table in (("__init__", cyclecreate._HOME), ("cli", cli._HOME)):
-        for name, module in table.items():
-            assert LAYERS[module] < LAYERS[importer], f"{importer} imports {module} {name}"
-            assert name in defined_names(module), f"{module} does not define {name}"
+    # the package imports these names on first use, by module name; cli takes
+    # its formats names from formats and every other name through the package
+    for name, module in cyclecreate._HOME.items():
+        assert LAYERS[module] < LAYERS["__init__"], f"__init__ imports {module} {name}"
+        assert name in defined_names(module), f"{module} does not define {name}"
+    assert cli._FORMATS <= defined_names("formats")
 
 
 def defined_names(module: str) -> set[str]:
@@ -141,11 +143,15 @@ def traced_names(tree: ast.Module) -> list[str]:
 
 def test_benchmark_traced_functions_exist():
     # the benchmark's tracer skips a name that is missing from every module it
-    # wraps, which would drop that layer's metric without an error
+    # wraps, which would drop that layer's metric without an error; cli resolves
+    # any public name on demand, so there only the names its handlers call count
     names = traced_names(ast.parse((ROOT / "perfbench" / "replay.py").read_text()))
+    cli_source = (PACKAGE / "cli.py").read_text()
     assert len(names) > 20
     for name in names:
-        assert any(hasattr(module, name) for module in (cli, search, constructions, counting)), name
+        assert re.search(rf"\b_cli\.{name}\b", cli_source) or any(
+            hasattr(module, name) for module in (search, constructions, counting)
+        ), name
 
 
 LIBRARY = ("graphs", "bounds", "constructions", "counting", "reduction", "search")
@@ -182,4 +188,15 @@ def test_star_import_and_dir_list_the_public_surface():
 def test_unknown_lazy_attribute_raises_attribute_error_naming_it(module):
     with pytest.raises(AttributeError, match="no_such_name"):
         module.no_such_name
-    assert not hasattr(module, "FormatError")  # defined in formats, but not in the table
+    assert not hasattr(module, "FormatError")  # defined in formats, but resolved by neither
+
+
+def test_cli_resolves_the_formats_names_and_the_package_names_only():
+    for name in cli._FORMATS:
+        assert getattr(cli, name) is getattr(formats, name)
+    for name in cyclecreate.__all__:
+        assert getattr(cli, name) is getattr(cyclecreate, name)
+    # no table of its own, and no __all__, so `from cyclecreate.cli import *` is unchanged
+    for name in ("_HOME", "__all__", "FormatError"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
