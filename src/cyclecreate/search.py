@@ -16,7 +16,9 @@ graph and its complement are vertex-transitive.  Every vertex, object 0
 included, then lies in a maximum clique, and the search of a graph that
 build_compatibility_graph made from such objects starts from object 0 inside
 its neighbourhood.  The witness is the same lexicographically least
-one either way.
+one either way.  The build itself evaluates the relation only between object
+0 and each other object: row i is row 0 mapped through a relabelling that
+takes object 0 to object i.
 
 On a vertex-transitive graph with N vertices, alpha * omega <= N (the
 clique-coclique bound of Albertson and Collins), so an independent set of size
@@ -143,7 +145,11 @@ def build_compatibility_graph(objects: Sequence, relation: int | str) -> Compati
     """Evaluate the creating or reversing relation on every pair of objects.
 
     Objects must be of one kind: paths, matchings, or graphs together with an
-    integer cycle length, or permutations with the "reversing" relation.
+    integer cycle length, or permutations with the "reversing" relation.  On
+    a full enumeration (see _full_orbit) only object 0 is related to each
+    other object, and every other row is row 0 relabelled (see _orbit_rows).
+    Permutations of two sizes raise at the first pair of them that a
+    pairwise scan in index order meets.
     """
     objs = tuple(objects)
     if objs and isinstance(objs[0], Permutation):
@@ -161,16 +167,74 @@ def build_compatibility_graph(objects: Sequence, relation: int | str) -> Compati
         def related(a, b) -> bool:
             return _creates(a, b, relation)
 
-    adjacency = [0] * len(objs)
-    for i, a in enumerate(items):
-        for j in range(i + 1, len(items)):
-            if related(a, items[j]):
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    orbit = _full_orbit(objs)
+    if orbit:
+        row = sum(1 << j for j in range(1, len(items)) if related(items[0], items[j]))
+        adjacency = _orbit_rows(objs, row)
+    else:
+        adjacency = [0] * len(objs)
+        for i, a in enumerate(items):
+            for j in range(i + 1, len(items)):
+                if related(a, items[j]):
+                    adjacency[i] |= 1 << j
+                    adjacency[j] |= 1 << i
     cg = CompatibilityGraph(objs, tuple(adjacency), relation)
     # only a graph made here surely holds its objects' relation (see max_clique)
-    object.__setattr__(cg, "_rooted", _full_orbit(objs))
+    object.__setattr__(cg, "_rooted", orbit)
     return cg
+
+
+# A full orbit's objects as raw keys, and the images of a list of keys under
+# the relabelling that takes key `first` to key `target`, place by place.
+def _path_images(first: tuple, target: tuple, orders: list) -> list:
+    """Orders, mapped vertex by vertex and put back in canonical orientation."""
+    sigma = dict(zip(first, target)).__getitem__
+    mapped = [tuple(map(sigma, order)) for order in orders]
+    return [order if order[0] < order[-1] else order[::-1] for order in mapped]
+
+
+def _matching_images(first: tuple, target: tuple, matchings: list) -> list:
+    """Sorted edge tuples, mapped edge by edge and sorted again."""
+    sigma = dict(zip(itertools.chain(*first), itertools.chain(*target)))
+    pairs = itertools.combinations(sorted(sigma.items()), 2)
+    edge = {(u, v): (x, y) if x < y else (y, x) for (u, x), (v, y) in pairs}
+    return [tuple(sorted(map(edge.__getitem__, edges))) for edges in matchings]
+
+
+def _permutation_images(first: tuple, target: tuple, perms: list) -> list:
+    """Image tuples, relabelled on values: tau = target . first^-1, and p goes to tau . p."""
+    tau = dict(zip(first, target)).__getitem__
+    return [tuple(map(tau, images)) for images in perms]
+
+
+_ORBIT_KEYS = {
+    HamPath: (lambda path: path.order, _path_images),
+    PerfectMatching: (lambda matching: tuple(sorted(matching.edges)), _matching_images),
+    Permutation: (lambda perm: perm.images, _permutation_images),
+}
+
+
+def _orbit_rows(objs: tuple, row: int) -> list[int]:
+    """The adjacency of a full orbit (see _full_orbit), given row 0.
+
+    Relabelling the ground set preserves the relation, so row i is row 0
+    mapped through any relabelling that takes object 0 to object i.  Of row 0
+    and its complement without object 0, the one with fewer members is
+    mapped, and each image is found by one dict lookup of its raw key.
+    """
+    key, images = _ORBIT_KEYS[type(objs[0])]
+    keys = [key(obj) for obj in objs]
+    bit = {k: 1 << j for j, k in enumerate(keys)}
+    full = (1 << len(keys)) - 1
+    rest = full ^ row ^ 1
+    flip = rest.bit_count() < row.bit_count()
+    mapped = rest if flip else row
+    members = [k for j, k in enumerate(keys) if mapped >> j & 1]
+    rows = []
+    for i, target in enumerate(keys):
+        mask = sum(map(bit.__getitem__, images(keys[0], target, members)))
+        rows.append(full ^ mask ^ 1 << i if flip else mask)
+    return rows
 
 
 def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -323,8 +387,11 @@ def _full_orbit(objects: tuple) -> bool:
     compatibility graph is vertex-transitive.  Fewer than two objects are
     never an orbit here.
 
-    The objects must already be known to be of one kind on one ground set, as
-    they are once build_compatibility_graph has related every pair of them.
+    The objects must already be known to be of one kind.  For permutations
+    the ground set is that of object 0 and is not checked: a family that
+    mixes sizes can pass the counts here, and build_compatibility_graph then
+    raises while relating object 0 to each other object, at the same pair as
+    a pairwise scan, before the answer is used.
     """
     if len(objects) < 2:
         return False

@@ -15,7 +15,7 @@ from cyclecreate.graphs import (
     is_creating,
     verify_pairwise_creating,
 )
-from cyclecreate import search
+from cyclecreate import cli, search
 from cyclecreate.formats import format_matchings
 from cyclecreate.search import (
     CompatibilityGraph,
@@ -300,6 +300,107 @@ def test_rooted_route_on_circulant_graphs():
                     assert (len(witness), witness) == expected, (n, steps, other is None)
 
 
+# ------------------------------------------------------------
+# full-orbit graphs built from row 0
+# ------------------------------------------------------------
+
+def pairwise_oracle(objects, relation):
+    """The adjacency by the double loop over every pair, straight from the relation."""
+    adjacency = [0] * len(objects)
+    for i, j in itertools.combinations(range(len(objects)), 2):
+        a, b = objects[i], objects[j]
+        if reversing_oracle(a, b) if relation == "reversing" else is_creating(a, b, relation):
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    return tuple(adjacency)
+
+
+def test_orbit_build_equals_pairwise_oracle():
+    rng = random.Random(41009)
+    cases = []
+    for target, n, relation in FULL_ORBITS:
+        objects = ENUMERATE[target](n)
+        cases += [(order, relation) for order in [objects] + [rng.sample(objects, len(objects)) for _ in range(2)]]
+    for target, n, relations in (("H", 6, (3, 4)), ("M", 8, (4, 6, 8)), ("RP", 5, ("reversing",)),
+                                 ("RP", 6, ("reversing",))):
+        cases += [(ENUMERATE[target](n), relation) for relation in relations]
+    for objects, relation in cases:
+        assert _full_orbit(tuple(objects)), (len(objects), relation)
+        cg = build_compatibility_graph(objects, relation)
+        assert cg.adjacency == pairwise_oracle(objects, relation), (len(objects), relation, objects[0])
+
+
+@contextlib.contextmanager
+def relation_calls(monkeypatch):
+    """The relation's calls inside, as (kernel, first argument, second argument)."""
+    calls = []
+    real_creates, real_reversing = search._creates, search.is_reversing
+
+    def creates(a, b, length):
+        calls.append(("creating", a, b))
+        return real_creates(a, b, length)
+
+    def reversing(p1, p2):
+        calls.append(("reversing", p1, p2))
+        return real_reversing(p1, p2)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_creates", creates)
+        patch.setattr(search, "is_reversing", reversing)
+        yield calls
+
+
+def test_orbit_build_relates_object_0_to_each_other_object_only(monkeypatch, capsys):
+    for target, n, relation in FULL_ORBITS:
+        objects = ENUMERATE[target](n)
+        with relation_calls(monkeypatch) as calls:
+            build_compatibility_graph(objects, relation)
+        first = objects[0] if target == "RP" else objects[0].adjacency
+        assert len(calls) == len(objects) - 1, (target, n, relation)
+        assert {call[1] for call in calls} == {first}, (target, n, relation)
+    for objects, relation in not_full_orbits():
+        with relation_calls(monkeypatch) as calls:
+            build_compatibility_graph(objects, relation)
+        assert len(calls) == len(objects) * (len(objects) - 1) // 2, (objects, relation)
+    # the 24 permutations of 1..4 are an orbit; their 24 matchings on 1..8 are
+    # not, so the creating side still checks the reversing side pair by pair
+    with relation_calls(monkeypatch) as calls:
+        assert cli.main(["check", "claim7", "--m", "4"]) == 0
+    assert capsys.readouterr().out == "ok 576 ordered pairs checked\n"
+    kernels = [kernel for kernel, _, _ in calls]
+    assert (kernels.count("reversing"), kernels.count("creating")) == (23, 276)
+
+
+def test_orbit_build_errors_come_from_row_0_at_the_pairwise_scan_pair(monkeypatch):
+    # six distinct permutations, as many as 3!, that mix m = 3 and m = 2
+    family = [Permutation(p) for p in ((1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (1, 2), (2, 3, 1))]
+    assert _full_orbit(tuple(family))
+    # the pairwise scan's calls up to the first pair of different sizes
+    scan = []
+    for a, b in itertools.combinations(family, 2):
+        scan.append(("reversing", a, b))
+        if a.m != b.m:
+            break
+    with relation_calls(monkeypatch) as calls:
+        with pytest.raises(ValueError) as raised:
+            build_compatibility_graph(family, "reversing")
+    assert str(raised.value) == "permutations act on different sets (m=3 vs m=2)"
+    assert calls == scan == [("reversing", family[0], family[1]), ("reversing", family[0], family[2])]
+
+
+def test_value_and_position_actions_preserve_reversing():
+    # relabelling values (pi . p) and positions (p . pi) both preserve the
+    # relation, exhaustively on S4; the orbit build uses the value action
+    perms = enumerate_permutations(4)
+    for pi in perms:
+        by_value = {p: Permutation(pi(v) for v in p.images) for p in perms}
+        by_position = {p: Permutation(p(pi(i)) for i in range(1, 5)) for p in perms}
+        for p, q in itertools.product(perms, repeat=2):
+            related = reversing_oracle(p, q)
+            assert reversing_oracle(by_value[p], by_value[q]) == related, (pi, p, q)
+            assert reversing_oracle(by_position[p], by_position[q]) == related, (pi, p, q)
+
+
 @contextlib.contextmanager
 def never_race(monkeypatch):
     """Fail the test if a search inside races a certificate: only full orbits may."""
@@ -312,14 +413,15 @@ def never_race(monkeypatch):
         yield
 
 
-def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
+def not_full_orbits():
+    """Families that are not full orbits, each with a relation."""
     paths = enumerate_ham_paths(4)
     missing = paths[:7] + paths[8:]
     duplicated = paths[:7] + [paths[0]] + paths[8:]
     # as many graphs on 1..3 as there are permutations of 1..3
     triangle = [(1, 2), (1, 3), (2, 3)]
     graphs = [LabeledGraph(3, edges) for r in (1, 2) for edges in itertools.combinations(triangle, r)]
-    families = [
+    return [
         (missing, 4),
         (duplicated, 4),
         (enumerate_permutations(3)[:3] + enumerate_permutations(3)[4:], "reversing"),
@@ -330,7 +432,13 @@ def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
         ([HamPath((1, 2))], 3),
         ([Permutation((1,))], "reversing"),
     ]
-    for objects, relation in families:
+
+
+def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
+    paths = enumerate_ham_paths(4)
+    missing = paths[:7] + paths[8:]
+    duplicated = paths[:7] + [paths[0]] + paths[8:]
+    for objects, relation in not_full_orbits():
         cg = build_compatibility_graph(objects, relation)
         assert not _full_orbit(cg.objects), (objects, relation)
         expected = max_clique_oracle(complement(cg.adjacency), cg.size)
@@ -546,6 +654,15 @@ def test_exact_rp_small_values():
     assert value == 2
     assert is_reversing(*witness)
     assert exact_rp(3) == exact_rp(3)
+
+
+def test_exact_h7_l3_equals_the_closed_form():
+    # two independent routes: the clique search over all 2,520 paths, and the
+    # count of balanced bipartitions
+    value, witness = exact_h(7, 3)
+    assert value == 35 == max_triangle_creating_paths(7)
+    assert len(set(witness)) == 35 and all(path.n == 7 for path in witness)
+    assert all(is_creating(a, b, 3) for a, b in itertools.combinations(witness, 2))
 
 
 def test_closed_form_triangle_values():
