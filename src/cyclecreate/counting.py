@@ -48,15 +48,28 @@ def biadjacency(g: LabeledGraph) -> tuple[BiadjacencyMatrix, tuple[int, ...], tu
     Rows follow the first class and columns the second, both in ascending
     vertex order; the classes are returned alongside the matrix.
     """
+    left, right = _equal_classes(g)
+    return _matrix(g, left, right), left, right
+
+
+def _equal_classes(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     classes = bipartition(g)
     if classes is None:
         raise ValueError("graph is not bipartite")
     left, right = classes
     if len(left) != len(right):
         raise ValueError(f"bipartition classes differ in size ({len(left)} vs {len(right)})")
+    return left, right
+
+
+def _matrix(g: LabeledGraph, left: tuple[int, ...], right: tuple[int, ...]) -> BiadjacencyMatrix:
     adj = g.adjacency
-    rows = tuple(tuple(adj[u] >> v & 1 for v in right) for u in left)
-    return BiadjacencyMatrix(rows), left, right
+    return BiadjacencyMatrix(tuple(adj[u] >> v & 1 for v in right) for u in left)
+
+
+def _refuse_past_cap(m: int) -> None:
+    if m > MAX_PERMANENT_SIZE:
+        raise ValueError(f"the permanent is limited to m <= {MAX_PERMANENT_SIZE}, got {m}")
 
 
 def permanent_ryser(matrix: BiadjacencyMatrix) -> Entry:
@@ -69,9 +82,7 @@ def permanent_ryser(matrix: BiadjacencyMatrix) -> Entry:
     `_shed_sparse_lines`), so Glynn's loop then takes at most 2^(m-1) steps,
     and none once the whole matrix is gone.  Integer matrices give an int.
     """
-    m = matrix.m
-    if m > MAX_PERMANENT_SIZE:
-        raise ValueError(f"the permanent is limited to m <= {MAX_PERMANENT_SIZE}, got {m}")
+    _refuse_past_cap(matrix.m)
     factor, rows = _shed_sparse_lines(matrix.rows)
     return factor * _glynn(rows)
 
@@ -175,9 +186,11 @@ def permanent_naive(matrix: BiadjacencyMatrix) -> Entry:
 
 
 def count_perfect_matchings(g: LabeledGraph) -> int:
-    """Exact number of perfect matchings of a bipartite graph with equal classes."""
-    matrix, _, _ = biadjacency(g)
-    result = permanent_ryser(matrix)
+    """Exact number of perfect matchings of a bipartite graph with equal
+    classes.  The permanent's cap is checked before the matrix is built."""
+    left, right = _equal_classes(g)
+    _refuse_past_cap(len(left))
+    result = permanent_ryser(_matrix(g, left, right))
     assert isinstance(result, int)
     return result
 
@@ -206,15 +219,18 @@ def check_regular_matching_bound(g: LabeledGraph) -> MatchingBoundReport:
     the guaranteed minimum r^m * m!/m^m.
 
     The scaled matrix A/r is confirmed doubly stochastic in exact rationals,
-    which is what makes the minimum apply.
+    which is what makes the minimum apply.  The permanent's cap is checked
+    last, but before the matrix is built.
     """
-    matrix, _, _ = biadjacency(g)
+    left, right = _equal_classes(g)
     degs = g.degrees()
     degree = degs[0] if degs else 0
     if any(d != degree for d in degs):
         raise ValueError("graph is not regular")
     if degree < 1:
         raise ValueError("graph must have positive degree")
+    _refuse_past_cap(len(left))
+    matrix = _matrix(g, left, right)
     m = matrix.m
     count = permanent_ryser(matrix)
     assert isinstance(count, int)

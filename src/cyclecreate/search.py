@@ -52,15 +52,6 @@ MAX_MATCHING_VERTICES = 12
 MAX_PERMUTATION_SIZE = 8
 
 
-def _orbit_size(kind: type, n: int) -> int:
-    """How many paths (n!/2), matchings ((n-1)!!) or permutations (n!) live on 1..n."""
-    if kind is HamPath:
-        return factorial(n) // 2
-    if kind is PerfectMatching:
-        return prod(range(n - 1, 0, -2))
-    return factorial(n)
-
-
 def enumerate_ham_paths(n: int) -> list[HamPath]:
     """All n!/2 Hamiltonian paths on 1..n, canonical orientation, lexicographic order."""
     if n < 2:
@@ -167,25 +158,27 @@ def build_compatibility_graph(objects: Sequence, relation: int | str) -> Compati
         def related(a, b) -> bool:
             return _creates(a, b, relation)
 
-    orbit = _full_orbit(objs)
-    if orbit:
+    if _full_orbit(objs):
         row = sum(1 << j for j in range(1, len(items)) if related(items[0], items[j]))
-        adjacency = _orbit_rows(objs, row)
-    else:
-        adjacency = [0] * len(objs)
-        for i, a in enumerate(items):
-            for j in range(i + 1, len(items)):
-                if related(a, items[j]):
-                    adjacency[i] |= 1 << j
-                    adjacency[j] |= 1 << i
-    cg = CompatibilityGraph(objs, tuple(adjacency), relation)
-    # only a graph made here surely holds its objects' relation (see max_clique)
-    object.__setattr__(cg, "_rooted", orbit)
-    return cg
+        return _OrbitGraph(objs, _orbit_rows(objs, row), relation)
+    adjacency = [0] * len(objs)
+    for i, a in enumerate(items):
+        for j in range(i + 1, len(items)):
+            if related(a, items[j]):
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return CompatibilityGraph(objs, tuple(adjacency), relation)
 
 
-# A full orbit's objects as raw keys, and the images of a list of keys under
-# the relabelling that takes key `first` to key `target`, place by place.
+class _OrbitGraph(CompatibilityGraph):
+    """A graph that build_compatibility_graph made from a full orbit (see
+    _full_orbit), so it and its complement are vertex-transitive; only such a
+    graph is searched from object 0 with certificates (see max_clique).
+    dataclasses.replace keeps this type, so it must keep the adjacency too."""
+
+
+# The images of a list of a full orbit's raw keys under the relabelling that
+# takes key `first` to key `target`, place by place.
 def _path_images(first: tuple, target: tuple, orders: list) -> list:
     """Orders, mapped vertex by vertex and put back in canonical orientation."""
     sigma = dict(zip(first, target)).__getitem__
@@ -207,14 +200,20 @@ def _permutation_images(first: tuple, target: tuple, perms: list) -> list:
     return [tuple(map(tau, images)) for images in perms]
 
 
-_ORBIT_KEYS = {
-    HamPath: (lambda path: path.order, _path_images),
-    PerfectMatching: (lambda matching: tuple(sorted(matching.edges)), _matching_images),
-    Permutation: (lambda perm: perm.images, _permutation_images),
+# Each kind of full orbit: how many objects share object 0's ground set, an
+# object's raw key, and the images of raw keys (above).
+_ORBITS = {
+    HamPath: (lambda path: factorial(path.n) // 2, lambda path: path.order, _path_images),
+    PerfectMatching: (
+        lambda matching: prod(range(matching.n - 1, 0, -2)),
+        lambda matching: tuple(sorted(matching.edges)),
+        _matching_images,
+    ),
+    Permutation: (lambda perm: factorial(perm.m), lambda perm: perm.images, _permutation_images),
 }
 
 
-def _orbit_rows(objs: tuple, row: int) -> list[int]:
+def _orbit_rows(objs: tuple, row: int) -> tuple[int, ...]:
     """The adjacency of a full orbit (see _full_orbit), given row 0.
 
     Relabelling the ground set preserves the relation, so row i is row 0
@@ -222,7 +221,7 @@ def _orbit_rows(objs: tuple, row: int) -> list[int]:
     and its complement without object 0, the one with fewer members is
     mapped, and each image is found by one dict lookup of its raw key.
     """
-    key, images = _ORBIT_KEYS[type(objs[0])]
+    _, key, images = _ORBITS[type(objs[0])]
     keys = [key(obj) for obj in objs]
     bit = {k: 1 << j for j, k in enumerate(keys)}
     full = (1 << len(keys)) - 1
@@ -234,7 +233,7 @@ def _orbit_rows(objs: tuple, row: int) -> list[int]:
     for i, target in enumerate(keys):
         mask = sum(map(bit.__getitem__, images(keys[0], target, members)))
         rows.append(full ^ mask ^ 1 << i if flip else mask)
-    return rows
+    return tuple(rows)
 
 
 def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -321,9 +320,7 @@ def _raced(
         spent, step = 2 * spent, spent
 
 
-def _lex_least_clique(
-    adjacency: Sequence[int], size: int, other: Sequence[int] | None = None
-) -> tuple[int, ...]:
+def _lex_least_clique(adjacency: Sequence[int], other: Sequence[int] | None = None) -> tuple[int, ...]:
     """A maximum clique that is lexicographically least as a sorted index tuple.
 
     Both steps are decisions by _has_clique.  The clique number omega is found
@@ -341,6 +338,7 @@ def _lex_least_clique(
     w + 1?" races the search for that certificate (see _raced), which can end
     the count-up without the call that fails.
     """
+    size = len(adjacency)
     chosen: list[int] = []
     cand = (1 << size) - 1
     if other is not None:
@@ -393,13 +391,8 @@ def _full_orbit(objects: tuple) -> bool:
     raises while relating object 0 to each other object, at the same pair as
     a pairwise scan, before the answer is used.
     """
-    if len(objects) < 2:
-        return False
-    kind = type(objects[0])
-    if kind not in (HamPath, PerfectMatching, Permutation):
-        return False
-    ground = objects[0].m if kind is Permutation else objects[0].n
-    return len(objects) == _orbit_size(kind, ground) == len(set(objects))
+    orbit = _ORBITS.get(type(objects[0])) if len(objects) > 1 else None
+    return orbit is not None and len(objects) == orbit[0](objects[0]) == len(set(objects))
 
 
 def _complement(adjacency: Sequence[int]) -> tuple[int, ...]:
@@ -412,12 +405,12 @@ def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
 
     The witness is re-verified pair by pair against the stored relation before
     being returned.  A graph that build_compatibility_graph made from a full
-    enumeration is searched from object 0 (see _full_orbit), with independent
+    enumeration (an _OrbitGraph) is searched from object 0, with independent
     sets as certificates that end the search early (see _lex_least_clique);
     any other graph, a hand-built one included, is searched in full.
     """
-    other = _complement(cg.adjacency) if getattr(cg, "_rooted", False) else None
-    witness = _lex_least_clique(cg.adjacency, cg.size, other)
+    other = _complement(cg.adjacency) if isinstance(cg, _OrbitGraph) else None
+    witness = _lex_least_clique(cg.adjacency, other)
     _reverify(cg, witness, expect_related=True)
     return len(witness), witness
 
@@ -426,8 +419,8 @@ def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number and the lexicographically least optimal
     witness, found as max_clique finds its own on the complement: a full
     enumeration is searched from object 0, with cliques as certificates."""
-    other = cg.adjacency if getattr(cg, "_rooted", False) else None
-    witness = _lex_least_clique(_complement(cg.adjacency), cg.size, other)
+    other = cg.adjacency if isinstance(cg, _OrbitGraph) else None
+    witness = _lex_least_clique(_complement(cg.adjacency), other)
     _reverify(cg, witness, expect_related=False)
     return len(witness), witness
 

@@ -190,6 +190,40 @@ def test_permanent_size_guard():
         check_regular_matching_bound(projective_plane_incidence(5).graph)
 
 
+def test_permanent_cap_comes_before_the_matrix(monkeypatch):
+    # the m x m matrix grows with m^2 (3,000 edges would build 9 million
+    # entries), so a graph past the cap must be refused before it exists
+    built = []
+    real = counting.BiadjacencyMatrix
+
+    def spy(rows):
+        matrix = real(rows)
+        built.append(matrix.m)
+        return matrix
+
+    monkeypatch.setattr(counting, "BiadjacencyMatrix", spy)
+    matching = LabeledGraph(200, [(2 * i - 1, 2 * i) for i in range(1, 101)])
+    for solve in (count_perfect_matchings, check_regular_matching_bound):
+        with pytest.raises(ValueError, match=r"^the permanent is limited to m <= 26, got 100$"):
+            solve(matching)
+    # where a graph fails several checks, the first of bipartite, equal
+    # classes, (lemma6 only) regular and positive degree, and size answers
+    path = LabeledGraph(60, [(v, v + 1) for v in range(1, 60)])
+    star = LabeledGraph(61, [(1, v) for v in range(2, 62)])
+    cases = (
+        (cycle_graph(61), "graph is not bipartite", "graph is not bipartite"),
+        (star, "bipartition classes differ in size", "bipartition classes differ in size"),
+        (path, "the permanent is limited to m <= 26, got 30", "graph is not regular"),
+    )
+    for g, counted, checked in cases:
+        for solve, message in ((count_perfect_matchings, counted), (check_regular_matching_bound, checked)):
+            with pytest.raises(ValueError) as raised:
+                solve(g)
+            assert str(raised.value).startswith(message), (solve, message)
+    assert built == []
+    assert count_perfect_matchings(cycle_graph(52)) == 2 and built == [26]
+
+
 # ------------------------------------------------------------
 # bipartite graphs and matching counts
 # ------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_lex_least_clique_on_random_and_extreme_graphs():
             edges = {(v, w) for v in range(n) for w in range(v + 1, n) if rng.random() < p}
             cases.append(masks(n, lambda v, w: (v, w) in edges))
     for adjacency in cases:
-        witness = _lex_least_clique(adjacency, len(adjacency))
+        witness = _lex_least_clique(adjacency)
         assert (len(witness), witness) == max_clique_oracle(adjacency, len(adjacency)), adjacency
 
 
@@ -275,8 +275,8 @@ def test_rooted_route_equals_unrooted_search_on_full_orbits():
         for order in orders:
             cg = build_compatibility_graph(order, relation)
             assert _full_orbit(cg.objects), (target, n, relation)
-            clique = _lex_least_clique(cg.adjacency, cg.size)
-            independent = _lex_least_clique(complement(cg.adjacency), cg.size)
+            clique = _lex_least_clique(cg.adjacency)
+            independent = _lex_least_clique(complement(cg.adjacency))
             assert max_clique(cg) == (len(clique), clique), (target, n, relation)
             assert max_independent_set(cg) == (len(independent), independent), (target, n, relation)
 
@@ -296,7 +296,7 @@ def test_rooted_route_on_circulant_graphs():
                 expected = max_clique_oracle(graph, n)
                 # the general route, and the rooted one racing the other side
                 for other in (None, complement(graph)):
-                    witness = _lex_least_clique(graph, n, other)
+                    witness = _lex_least_clique(graph, other)
                     assert (len(witness), witness) == expected, (n, steps, other is None)
 
 
@@ -434,6 +434,30 @@ def not_full_orbits():
     ]
 
 
+def test_orbit_table_sizes_equal_the_enumerations():
+    # the table's count for object 0's ground set, against the enumerators
+    for enumerate_, sizes in ((enumerate_ham_paths, range(2, 8)), (enumerate_perfect_matchings, range(2, 11, 2)),
+                              (enumerate_permutations, range(1, 7))):
+        for n in sizes:
+            objects = enumerate_(n)
+            count, _, _ = search._ORBITS[type(objects[0])]
+            assert count(objects[0]) == len(objects), (enumerate_.__name__, n)
+
+
+def test_only_full_orbits_build_the_orbit_type():
+    rng = random.Random(41010)
+    for target, n, relation in FULL_ORBITS:
+        objects = ENUMERATE[target](n)
+        for order in (objects, rng.sample(objects, len(objects))):
+            assert type(build_compatibility_graph(order, relation)) is search._OrbitGraph, (target, n, relation)
+    for objects, relation in not_full_orbits():
+        assert type(build_compatibility_graph(objects, relation)) is CompatibilityGraph, (objects, relation)
+    # the type is the only mark of an orbit, so a hand-built copy is not one
+    cg = build_compatibility_graph(enumerate_ham_paths(4), 3)
+    copy = CompatibilityGraph(cg.objects, cg.adjacency, cg.relation)
+    assert cg != copy and repr(cg) == "_Orbit" + repr(copy).removeprefix("Compatibility")
+
+
 def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
     paths = enumerate_ham_paths(4)
     missing = paths[:7] + paths[8:]
@@ -448,7 +472,7 @@ def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
     # on these the rooted route would miss the optimum, so the guard matters
     for objects in (missing, duplicated):
         cg = build_compatibility_graph(objects, 4)
-        rooted = _lex_least_clique(cg.adjacency, cg.size, other=complement(cg.adjacency))
+        rooted = _lex_least_clique(cg.adjacency, other=complement(cg.adjacency))
         with never_race(monkeypatch):
             assert len(rooted) == 5 < max_clique(cg)[0] == 6
 
@@ -459,7 +483,7 @@ def test_hand_built_graphs_of_full_orbits_take_the_general_route(monkeypatch):
     built = build_compatibility_graph(paths, 4).adjacency
     adjacency = tuple(0 if v == 7 else mask & ~(1 << 7) for v, mask in enumerate(built))
     cg = CompatibilityGraph(tuple(paths), adjacency, 4)
-    assert len(_lex_least_clique(adjacency, cg.size, other=complement(adjacency))) == 5
+    assert len(_lex_least_clique(adjacency, other=complement(adjacency))) == 5
     with never_race(monkeypatch):
         assert max_clique(cg) == max_clique_oracle(adjacency, cg.size) == (6, (1, 2, 4, 6, 8, 9))
     # the L = 3 relation with object 7 joined to all: the rooted route would find 3
@@ -467,7 +491,7 @@ def test_hand_built_graphs_of_full_orbits_take_the_general_route(monkeypatch):
     full = (1 << len(paths)) - 1
     adjacency = tuple(full ^ 1 << 7 if v == 7 else mask | 1 << 7 for v, mask in enumerate(built))
     cg = CompatibilityGraph(tuple(paths), adjacency, 3)
-    assert len(_lex_least_clique(complement(adjacency), cg.size, other=adjacency)) == 3
+    assert len(_lex_least_clique(complement(adjacency), other=adjacency)) == 3
     with never_race(monkeypatch):
         assert max_independent_set(cg) == max_clique_oracle(complement(adjacency), cg.size)
         assert max_independent_set(cg)[0] == 4
@@ -480,9 +504,9 @@ def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch
     spec.loader.exec_module(libjob)
     routes = []
 
-    def recording(adjacency, size, other=None):
+    def recording(adjacency, other=None):
         routes.append(other is not None)
-        return _lex_least_clique(adjacency, size, other)
+        return _lex_least_clique(adjacency, other)
 
     monkeypatch.setattr(search, "_lex_least_clique", recording)
     rng = random.Random(41006)
@@ -497,7 +521,7 @@ def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch
     for name, objects, relation in (("m6", matchings, "4"), ("rp4", perms, "reversing")):
         assert libjob.main([str(tmp_path / f"{name}.objects"), relation]) == 0
         cg = build_compatibility_graph(objects, libjob.parse_relation(relation))
-        witness = _lex_least_clique(complement(cg.adjacency), cg.size)
+        witness = _lex_least_clique(complement(cg.adjacency))
         assert capsys.readouterr().out == libjob.result_line(len(witness), witness)
     assert routes == [True, True]
 
@@ -609,7 +633,7 @@ def test_h6_independence_numbers_agree_rooted_and_unrooted():
               if (target, n, solve) == ("H", 6, max_independent_set)}
     for length, alpha in ((4, 8), (5, 36), (6, 24)):
         cg = build_compatibility_graph(enumerate_ham_paths(6), length)
-        witness = _lex_least_clique(complement(cg.adjacency), cg.size)
+        witness = _lex_least_clique(complement(cg.adjacency))
         assert max_independent_set(cg) == (alpha, witness) == (alpha, pinned[length]), length
 
 
