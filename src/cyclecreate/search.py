@@ -13,12 +13,11 @@ When the objects are a full enumeration (every Hamiltonian path, perfect
 matching or permutation on one ground set, each once), relabelling the ground
 set maps the relation to itself and moves any object to any other, so the
 graph and its complement are vertex-transitive.  Every vertex, object 0
-included, then lies in a maximum clique, and the search of a graph that
-build_compatibility_graph made from such objects starts from object 0 inside
-its neighbourhood.  The witness is the same lexicographically least
-one either way.  The build itself evaluates the relation only between object
-0 and each other object: row i is row 0 mapped through a relabelling that
-takes object 0 to object i.
+included, then lies in a maximum clique, and the search of a graph of such
+objects, in any order, starts from object 0 inside its neighbourhood.  The
+witness is the same lexicographically least one either way.  The graph itself
+evaluates the relation only between object 0 and each other object: row i is
+row 0 mapped through a relabelling that takes object 0 to object i.
 
 On a vertex-transitive graph with N vertices, alpha * omega <= N (the
 clique-coclique bound of Albertson and Collins), so an independent set of size
@@ -32,7 +31,7 @@ the step that fails, often the costliest one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, factorial, prod
 from typing import Sequence
 
@@ -115,13 +114,54 @@ def perm_to_matching(p: Permutation) -> PerfectMatching:
 # ============================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CompatibilityGraph:
-    """A pairwise relation over a fixed object tuple, as 0-based adjacency bitmasks."""
+    """A pairwise relation over a fixed object tuple, as 0-based adjacency
+    bitmasks that the constructor evaluates: dataclasses.replace recomputes
+    them, and refuses to set them.
+
+    Objects must be of one kind: paths, matchings, or graphs together with an
+    integer cycle length, or permutations (or none) with "reversing".  On
+    a full enumeration (see _full_orbit) only object 0 is related to each
+    other object, and every other row is row 0 relabelled (see _orbit_rows).
+    Permutations of two sizes raise at the first pair of them that a
+    pairwise scan in index order meets.
+    """
 
     objects: tuple
-    adjacency: tuple[int, ...]
+    adjacency: tuple[int, ...] = field(init=False)
     relation: int | str  # a cycle length, or the string "reversing"
+
+    def __init__(self, objects: Sequence, relation: int | str):
+        objs = tuple(objects)
+        if isinstance(objs[0], Permutation) if objs else relation == "reversing":
+            if relation != "reversing":
+                raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
+            _family_adjacencies(objs, None)
+            items, related = objs, is_reversing
+        elif not isinstance(relation, int):
+            raise ValueError(
+                f"paths, matchings, and graphs need an integer cycle length, got {relation!r}"
+            )
+        else:
+            items = _family_adjacencies(objs, relation)
+
+            def related(a, b) -> bool:
+                return _creates(a, b, relation)
+
+        if _full_orbit(objs):
+            row = sum(1 << j for j in range(1, len(items)) if related(items[0], items[j]))
+            adjacency = _orbit_rows(objs, row)
+        else:
+            adjacency = [0] * len(objs)
+            for i, a in enumerate(items):
+                for j in range(i + 1, len(items)):
+                    if related(a, items[j]):
+                        adjacency[i] |= 1 << j
+                        adjacency[j] |= 1 << i
+        object.__setattr__(self, "objects", objs)
+        object.__setattr__(self, "adjacency", tuple(adjacency))
+        object.__setattr__(self, "relation", relation)
 
     @property
     def size(self) -> int:
@@ -133,48 +173,8 @@ class CompatibilityGraph:
 
 
 def build_compatibility_graph(objects: Sequence, relation: int | str) -> CompatibilityGraph:
-    """Evaluate the creating or reversing relation on every pair of objects.
-
-    Objects must be of one kind: paths, matchings, or graphs together with an
-    integer cycle length, or permutations with the "reversing" relation.  On
-    a full enumeration (see _full_orbit) only object 0 is related to each
-    other object, and every other row is row 0 relabelled (see _orbit_rows).
-    Permutations of two sizes raise at the first pair of them that a
-    pairwise scan in index order meets.
-    """
-    objs = tuple(objects)
-    if objs and isinstance(objs[0], Permutation):
-        if relation != "reversing":
-            raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
-        _family_adjacencies(objs, None)
-        items, related = objs, is_reversing
-    elif not isinstance(relation, int):
-        raise ValueError(
-            f"paths, matchings, and graphs need an integer cycle length, got {relation!r}"
-        )
-    else:
-        items = _family_adjacencies(objs, relation)
-
-        def related(a, b) -> bool:
-            return _creates(a, b, relation)
-
-    if _full_orbit(objs):
-        row = sum(1 << j for j in range(1, len(items)) if related(items[0], items[j]))
-        return _OrbitGraph(objs, _orbit_rows(objs, row), relation)
-    adjacency = [0] * len(objs)
-    for i, a in enumerate(items):
-        for j in range(i + 1, len(items)):
-            if related(a, items[j]):
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    return CompatibilityGraph(objs, tuple(adjacency), relation)
-
-
-class _OrbitGraph(CompatibilityGraph):
-    """A graph that build_compatibility_graph made from a full orbit (see
-    _full_orbit), so it and its complement are vertex-transitive; only such a
-    graph is searched from object 0 with certificates (see max_clique).
-    dataclasses.replace keeps this type, so it must keep the adjacency too."""
+    """Evaluate the creating or reversing relation on every pair of objects (see CompatibilityGraph)."""
+    return CompatibilityGraph(objects, relation)
 
 
 # The images of a list of a full orbit's raw keys under the relabelling that
@@ -387,7 +387,7 @@ def _full_orbit(objects: tuple) -> bool:
 
     The objects must already be known to be of one kind.  For permutations
     the ground set is that of object 0 and is not checked: a family that
-    mixes sizes can pass the counts here, and build_compatibility_graph then
+    mixes sizes can pass the counts here, and CompatibilityGraph then
     raises while relating object 0 to each other object, at the same pair as
     a pairwise scan, before the answer is used.
     """
@@ -404,12 +404,12 @@ def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number and the lexicographically least optimal witness.
 
     The witness is re-verified pair by pair against the stored relation before
-    being returned.  A graph that build_compatibility_graph made from a full
-    enumeration (an _OrbitGraph) is searched from object 0, with independent
-    sets as certificates that end the search early (see _lex_least_clique);
-    any other graph, a hand-built one included, is searched in full.
+    being returned.  A full enumeration (see _full_orbit), in any order, is
+    searched from object 0, with independent sets as certificates that end
+    the search early (see _lex_least_clique); any other family is searched in
+    full.
     """
-    other = _complement(cg.adjacency) if isinstance(cg, _OrbitGraph) else None
+    other = _complement(cg.adjacency) if _full_orbit(cg.objects) else None
     witness = _lex_least_clique(cg.adjacency, other)
     _reverify(cg, witness, expect_related=True)
     return len(witness), witness
@@ -419,7 +419,7 @@ def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number and the lexicographically least optimal
     witness, found as max_clique finds its own on the complement: a full
     enumeration is searched from object 0, with cliques as certificates."""
-    other = cg.adjacency if isinstance(cg, _OrbitGraph) else None
+    other = cg.adjacency if _full_orbit(cg.objects) else None
     witness = _lex_least_clique(_complement(cg.adjacency), other)
     _reverify(cg, witness, expect_related=False)
     return len(witness), witness

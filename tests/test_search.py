@@ -1,10 +1,12 @@
 import contextlib
+import dataclasses
 import importlib.util
 import itertools
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecreate.graphs import (
     HamPath,
@@ -444,18 +446,35 @@ def test_orbit_table_sizes_equal_the_enumerations():
             assert count(objects[0]) == len(objects), (enumerate_.__name__, n)
 
 
-def test_only_full_orbits_build_the_orbit_type():
+def recorded_routes(monkeypatch):
+    """The searches' calls of _lex_least_clique, each as its `other` argument:
+    None on the general route, the complement side on the rooted one."""
+    routes = []
+
+    def recording(adjacency, other=None):
+        routes.append(other)
+        return _lex_least_clique(adjacency, other)
+
+    monkeypatch.setattr(search, "_lex_least_clique", recording)
+    return routes
+
+
+def test_searches_take_the_rooted_route_exactly_on_full_orbits(monkeypatch):
     rng = random.Random(41010)
+    cases = []
     for target, n, relation in FULL_ORBITS:
         objects = ENUMERATE[target](n)
-        for order in (objects, rng.sample(objects, len(objects))):
-            assert type(build_compatibility_graph(order, relation)) is search._OrbitGraph, (target, n, relation)
-    for objects, relation in not_full_orbits():
-        assert type(build_compatibility_graph(objects, relation)) is CompatibilityGraph, (objects, relation)
-    # the type is the only mark of an orbit, so a hand-built copy is not one
-    cg = build_compatibility_graph(enumerate_ham_paths(4), 3)
-    copy = CompatibilityGraph(cg.objects, cg.adjacency, cg.relation)
-    assert cg != copy and repr(cg) == "_Orbit" + repr(copy).removeprefix("Compatibility")
+        cases += [(objects, relation, True), (rng.sample(objects, len(objects)), relation, True)]
+    cases += [(objects, relation, False) for objects, relation in not_full_orbits()]
+    routes = recorded_routes(monkeypatch)
+    for objects, relation, orbit in cases:
+        cg = build_compatibility_graph(objects, relation)
+        assert _full_orbit(cg.objects) == orbit, (objects, relation)
+        routes.clear()
+        max_clique(cg)
+        max_independent_set(cg)
+        expected = [complement(cg.adjacency), cg.adjacency] if orbit else [None, None]
+        assert routes == expected, (objects, relation)
 
 
 def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
@@ -477,24 +496,35 @@ def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
             assert len(rooted) == 5 < max_clique(cg)[0] == 6
 
 
-def test_hand_built_graphs_of_full_orbits_take_the_general_route(monkeypatch):
+def test_a_graph_holds_only_the_adjacency_its_relation_gives(monkeypatch):
     paths = enumerate_ham_paths(4)
-    # the L = 4 relation with object 7 isolated: the rooted route would find 5
-    built = build_compatibility_graph(paths, 4).adjacency
-    adjacency = tuple(0 if v == 7 else mask & ~(1 << 7) for v, mask in enumerate(built))
-    cg = CompatibilityGraph(tuple(paths), adjacency, 4)
-    assert len(_lex_least_clique(adjacency, other=complement(adjacency))) == 5
-    with never_race(monkeypatch):
-        assert max_clique(cg) == max_clique_oracle(adjacency, cg.size) == (6, (1, 2, 4, 6, 8, 9))
-    # the L = 3 relation with object 7 joined to all: the rooted route would find 3
-    built = build_compatibility_graph(paths, 3).adjacency
+    shuffled = random.Random(41011).sample(paths, len(paths))
     full = (1 << len(paths)) - 1
-    adjacency = tuple(full ^ 1 << 7 if v == 7 else mask | 1 << 7 for v, mask in enumerate(built))
-    cg = CompatibilityGraph(tuple(paths), adjacency, 3)
-    assert len(_lex_least_clique(complement(adjacency), other=adjacency)) == 3
-    with never_race(monkeypatch):
-        assert max_independent_set(cg) == max_clique_oracle(complement(adjacency), cg.size)
-        assert max_independent_set(cg)[0] == 4
+    # the L = 4 relation with object 7 isolated: the rooted route would find 5 of 6
+    isolated = build_compatibility_graph(paths, 4)
+    edited = tuple(0 if v == 7 else mask & ~(1 << 7) for v, mask in enumerate(isolated.adjacency))
+    assert len(_lex_least_clique(edited, other=complement(edited))) == 5
+    assert max_clique_oracle(edited, len(paths)) == (6, (1, 2, 4, 6, 8, 9))
+    cases = [(isolated, edited)]
+    # the L = 3 relation with object 7 joined to all: the rooted route would find 3 of 4
+    joined = build_compatibility_graph(paths, 3)
+    edited = tuple(full ^ 1 << 7 if v == 7 else mask | 1 << 7 for v, mask in enumerate(joined.adjacency))
+    assert len(_lex_least_clique(complement(edited), other=edited)) == 3
+    assert max_clique_oracle(complement(edited), len(paths))[0] == 4
+    cases.append((joined, edited))
+    routes = recorded_routes(monkeypatch)
+    for cg, edited in cases:
+        with pytest.raises(ValueError, match="adjacency"):
+            dataclasses.replace(cg, adjacency=edited)
+        with pytest.raises(TypeError):
+            CompatibilityGraph(cg.objects, edited, cg.relation)
+        # new objects bring their own adjacency, and a full orbit stays rooted
+        moved = dataclasses.replace(cg, objects=shuffled)
+        assert moved == build_compatibility_graph(shuffled, cg.relation) != cg
+        routes.clear()
+        assert max_clique(moved) == max_clique_oracle(moved.adjacency, moved.size), cg.relation
+        assert max_independent_set(moved) == max_clique_oracle(complement(moved.adjacency), moved.size)
+        assert routes == [complement(moved.adjacency), moved.adjacency], cg.relation
 
 
 def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch, capsys):
@@ -502,13 +532,7 @@ def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch
     spec = importlib.util.spec_from_file_location("libjob", path)
     libjob = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(libjob)
-    routes = []
-
-    def recording(adjacency, other=None):
-        routes.append(other is not None)
-        return _lex_least_clique(adjacency, other)
-
-    monkeypatch.setattr(search, "_lex_least_clique", recording)
+    routes = recorded_routes(monkeypatch)
     rng = random.Random(41006)
     matchings = enumerate_perfect_matchings(6)
     perms = enumerate_permutations(4)
@@ -523,7 +547,73 @@ def test_shuffled_library_alpha_jobs_take_the_rooted_route(tmp_path, monkeypatch
         cg = build_compatibility_graph(objects, libjob.parse_relation(relation))
         witness = _lex_least_clique(complement(cg.adjacency))
         assert capsys.readouterr().out == libjob.result_line(len(witness), witness)
-    assert routes == [True, True]
+    assert [other is not None for other in routes] == [True, True]
+
+
+# ------------------------------------------------------------
+# property tests: the build and both searches against the oracles
+# ------------------------------------------------------------
+
+# Examples are derandomized and no example database is kept, so every run
+# draws the same inputs; they are drawn inside each test, once the fixture
+# has moved Hypothesis's home directory.  Subsets of the larger enumerations
+# take the general route, and shuffled full orbits the rooted one.
+fixed = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+POOLS = [(enumerate_ham_paths(5), length) for length in (3, 4, 5)]
+POOLS += [(enumerate_perfect_matchings(8), length) for length in (4, 6, 8)]
+POOLS += [(enumerate_permutations(4), "reversing")]
+ORBITS = [(enumerate_ham_paths(4), length) for length in (3, 4)]
+ORBITS += [(enumerate_perfect_matchings(6), length) for length in (4, 6)]
+ORBITS += [(enumerate_permutations(3), "reversing")]
+
+
+def subsets():
+    """At most 14 objects from one pool, repeats allowed, in drawn order."""
+
+    def drawn(pool):
+        objects, relation = pool
+        return st.tuples(st.lists(st.sampled_from(objects), max_size=14), st.just(relation))
+
+    return st.sampled_from(POOLS).flatmap(drawn)
+
+
+def shuffled_orbits():
+    return st.sampled_from(ORBITS).flatmap(
+        lambda orbit: st.tuples(st.permutations(orbit[0]), st.just(orbit[1]))
+    )
+
+
+def check_against_oracles(objects, relation):
+    """The adjacency against the pairwise scan, and both searches (value and
+    lex-least witness) against the subset oracle on it and its complement."""
+    cg = build_compatibility_graph(objects, relation)
+    assert cg.adjacency == pairwise_oracle(objects, relation)
+    assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size)
+    assert max_independent_set(cg) == max_clique_oracle(complement(cg.adjacency), cg.size)
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_search_on_subsets_matches_the_oracles():
+    @fixed
+    @given(subsets())
+    def check(case):
+        objects, relation = case
+        assert not _full_orbit(tuple(objects))
+        check_against_oracles(objects, relation)
+
+    check()
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_search_on_shuffled_full_orbits_matches_the_oracles():
+    @fixed
+    @given(shuffled_orbits())
+    def check(case):
+        objects, relation = case
+        assert _full_orbit(tuple(objects))
+        check_against_oracles(objects, relation)
+
+    check()
 
 
 # ------------------------------------------------------------
@@ -646,9 +736,12 @@ def test_clique_witness_members_are_pairwise_related():
 
 
 def test_empty_compatibility_graph():
-    cg = build_compatibility_graph([], 4)
-    assert max_clique(cg) == (0, ())
-    assert max_independent_set(cg) == (0, ())
+    # no object names a kind, so an empty family takes either kind's relation
+    for relation in (4, "reversing"):
+        cg = build_compatibility_graph([], relation)
+        assert cg.adjacency == ()
+        assert max_clique(cg) == (0, ())
+        assert max_independent_set(cg) == (0, ())
 
 
 # ------------------------------------------------------------
