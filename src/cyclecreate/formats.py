@@ -41,6 +41,19 @@ def _header(lines: list[str], tag: str, fields: int) -> list[int]:
     return values
 
 
+# The cap on a graph, paths or matchings file's n, checked before any body line
+# is parsed: adjacency masks and the work on them grow with n squared.  The
+# q = 31 plane that construct plane writes has 1,986 vertices.
+MAX_VERTICES = 4096
+
+
+def _vertex_header(lines: list[str], tag: str) -> list[int]:
+    values = _header(lines, tag, 2)
+    if values[0] > MAX_VERTICES:
+        raise FormatError(f"line 1: the vertex count is limited to n <= {MAX_VERTICES}, got {values[0]}")
+    return values
+
+
 def _body(lines: list[str], expected: int, what: str) -> list[str]:
     actual = len(lines) - 1
     if actual != expected:
@@ -59,7 +72,7 @@ def format_graph(g: LabeledGraph) -> str:
 
 def parse_graph(text: str) -> LabeledGraph:
     lines = text.splitlines()
-    n, m = _header(lines, "graph", 2)
+    n, m = _vertex_header(lines, "graph")
     seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(_body(lines, m, "edge"), start=2):
         parts = raw.split()
@@ -96,7 +109,7 @@ def format_paths(family: Sequence[HamPath]) -> str:
 
 def parse_paths(text: str) -> list[HamPath]:
     lines = text.splitlines()
-    n, count = _header(lines, "paths", 2)
+    n, count = _vertex_header(lines, "paths")
     family = []
     for line_no, raw in enumerate(_body(lines, count, "path"), start=2):
         values = [_int(token, line_no) for token in raw.split()]
@@ -117,7 +130,7 @@ def format_matchings(family: Sequence[PerfectMatching]) -> str:
 
 def parse_matchings(text: str) -> list[PerfectMatching]:
     lines = text.splitlines()
-    n, count = _header(lines, "matchings", 2)
+    n, count = _vertex_header(lines, "matchings")
     if n % 2:
         raise FormatError(f"line 1: matchings need an even vertex count, got {n}")
     family = []

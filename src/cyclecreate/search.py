@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import (
     HamPath,
@@ -43,7 +43,6 @@ from .graphs import (
     _creates,
     _family_adjacencies,
     enumerate_perfect_matchings_of,
-    is_creating,
 )
 
 MAX_PATH_VERTICES = 8
@@ -134,21 +133,7 @@ class CompatibilityGraph:
 
     def __init__(self, objects: Sequence, relation: int | str):
         objs = tuple(objects)
-        if isinstance(objs[0], Permutation) if objs else relation == "reversing":
-            if relation != "reversing":
-                raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
-            _family_adjacencies(objs, None)
-            items, related = objs, is_reversing
-        elif not isinstance(relation, int):
-            raise ValueError(
-                f"paths, matchings, and graphs need an integer cycle length, got {relation!r}"
-            )
-        else:
-            items = _family_adjacencies(objs, relation)
-
-            def related(a, b) -> bool:
-                return _creates(a, b, relation)
-
+        items, related = _pair_test(objs, relation)
         if _full_orbit(objs):
             row = sum(1 << j for j in range(1, len(items)) if related(items[0], items[j]))
             adjacency = _orbit_rows(objs, row)
@@ -175,6 +160,20 @@ class CompatibilityGraph:
 def build_compatibility_graph(objects: Sequence, relation: int | str) -> CompatibilityGraph:
     """Evaluate the creating or reversing relation on every pair of objects (see CompatibilityGraph)."""
     return CompatibilityGraph(objects, relation)
+
+
+def _pair_test(objs: Sequence, relation: int | str) -> tuple[Sequence, Callable[..., bool]]:
+    """The relation's checks on a family, and the items and pair test that
+    decide it: the permutations themselves with is_reversing, or the members'
+    adjacency masks with the creating kernel."""
+    if isinstance(objs[0], Permutation) if objs else relation == "reversing":
+        if relation != "reversing":
+            raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
+        _family_adjacencies(objs, None)
+        return objs, is_reversing
+    if not isinstance(relation, int):
+        raise ValueError(f"paths, matchings, and graphs need an integer cycle length, got {relation!r}")
+    return _family_adjacencies(objs, relation), lambda a, b: _creates(a, b, relation)
 
 
 # The images of a list of a full orbit's raw keys under the relabelling that
@@ -370,14 +369,6 @@ def _lex_least_clique(adjacency: Sequence[int], other: Sequence[int] | None = No
     return tuple(chosen)
 
 
-def _reverify(cg: CompatibilityGraph, witness: tuple[int, ...], expect_related: bool) -> None:
-    for a, b in itertools.combinations(witness, 2):
-        x, y = cg.objects[a], cg.objects[b]
-        related = is_reversing(x, y) if cg.relation == "reversing" else is_creating(x, y, cg.relation)
-        if related != expect_related:
-            raise RuntimeError("internal error: witness failed re-verification against the relation")
-
-
 def _full_orbit(objects: tuple) -> bool:
     """True iff the objects are every Hamiltonian path, perfect matching or
     permutation on their ground set, each exactly once.  Relabelling the ground
@@ -395,34 +386,37 @@ def _full_orbit(objects: tuple) -> bool:
     return orbit is not None and len(objects) == orbit[0](objects[0]) == len(set(objects))
 
 
-def _complement(adjacency: Sequence[int]) -> tuple[int, ...]:
-    full = (1 << len(adjacency)) - 1
-    return tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(adjacency))
+def _max_set(cg: CompatibilityGraph, related: bool) -> tuple[int, tuple[int, ...]]:
+    """The largest set of objects that are pairwise related (a clique) or
+    pairwise unrelated (an independent set), with the lexicographically least
+    witness: a clique of that side's graph.
+
+    A full enumeration (see _full_orbit), in any order, is searched from
+    object 0, with the other side's cliques as certificates that end the
+    search early (see _lex_least_clique); any other family is searched in
+    full.  The witness is re-verified pair by pair with the relation's own
+    pair test before being returned.
+    """
+    full = (1 << cg.size) - 1
+    complement = tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(cg.adjacency))
+    graph, other = (cg.adjacency, complement) if related else (complement, cg.adjacency)
+    witness = _lex_least_clique(graph, other if _full_orbit(cg.objects) else None)
+    items, test = _pair_test([cg.objects[i] for i in witness], cg.relation)
+    if any(test(a, b) != related for a, b in itertools.combinations(items, 2)):
+        raise RuntimeError("internal error: witness failed re-verification against the relation")
+    return len(witness), witness
 
 
 def max_clique(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
-    """Exact clique number and the lexicographically least optimal witness.
-
-    The witness is re-verified pair by pair against the stored relation before
-    being returned.  A full enumeration (see _full_orbit), in any order, is
-    searched from object 0, with independent sets as certificates that end
-    the search early (see _lex_least_clique); any other family is searched in
-    full.
-    """
-    other = _complement(cg.adjacency) if _full_orbit(cg.objects) else None
-    witness = _lex_least_clique(cg.adjacency, other)
-    _reverify(cg, witness, expect_related=True)
-    return len(witness), witness
+    """Exact clique number and the lexicographically least optimal witness,
+    re-verified pair by pair against the relation (see _max_set)."""
+    return _max_set(cg, True)
 
 
 def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number and the lexicographically least optimal
-    witness, found as max_clique finds its own on the complement: a full
-    enumeration is searched from object 0, with cliques as certificates."""
-    other = cg.adjacency if _full_orbit(cg.objects) else None
-    witness = _lex_least_clique(_complement(cg.adjacency), other)
-    _reverify(cg, witness, expect_related=False)
-    return len(witness), witness
+    witness, found as max_clique finds its own on the complement (see _max_set)."""
+    return _max_set(cg, False)
 
 
 # ============================================================
@@ -430,14 +424,18 @@ def max_independent_set(cg: CompatibilityGraph) -> tuple[int, tuple[int, ...]]:
 # ============================================================
 
 
+def _exact(objects: list, relation: int | str) -> tuple[int, tuple]:
+    """The largest pairwise related family of the objects, with its witness family."""
+    size, indices = max_clique(build_compatibility_graph(objects, relation))
+    return size, tuple(objects[i] for i in indices)
+
+
 def exact_h(n: int, length: int) -> tuple[int, tuple[HamPath, ...]]:
     """Largest family of Hamiltonian paths on 1..n whose pairwise unions all
     contain a cycle on exactly `length` vertices, with a witness family."""
     if length < 3:
         raise ValueError(f"cycle length must be at least 3, got {length}")
-    paths = enumerate_ham_paths(n)
-    size, indices = max_clique(build_compatibility_graph(paths, length))
-    return size, tuple(paths[i] for i in indices)
+    return _exact(enumerate_ham_paths(n), length)
 
 
 def exact_m(n: int, length: int) -> tuple[int, tuple[PerfectMatching, ...]]:
@@ -445,16 +443,12 @@ def exact_m(n: int, length: int) -> tuple[int, tuple[PerfectMatching, ...]]:
     graph on 1..n, for an even cycle length, with a witness family."""
     if length < 4 or length % 2:
         raise ValueError(f"matching unions only contain even cycles of length >= 4, got {length}")
-    matchings = enumerate_perfect_matchings(n)
-    size, indices = max_clique(build_compatibility_graph(matchings, length))
-    return size, tuple(matchings[i] for i in indices)
+    return _exact(enumerate_perfect_matchings(n), length)
 
 
 def exact_rp(m: int) -> tuple[int, tuple[Permutation, ...]]:
     """Largest pairwise reversing family of permutations of 1..m, with witness."""
-    perms = enumerate_permutations(m)
-    size, indices = max_clique(build_compatibility_graph(perms, "reversing"))
-    return size, tuple(perms[i] for i in indices)
+    return _exact(enumerate_permutations(m), "reversing")
 
 
 def max_triangle_creating_paths(n: int) -> int:

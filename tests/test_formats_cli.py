@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclecreate import cli
+from cyclecreate import cli, formats
 from cyclecreate.cli import main
 from cyclecreate.constructions import lower_bound_family
 from cyclecreate.counting import BiadjacencyMatrix
@@ -118,6 +118,33 @@ def test_parse_errors_name_the_first_bad_line():
         with pytest.raises(FormatError) as excinfo:
             parser(text)
         assert fragment in str(excinfo.value), (parser.__name__, text)
+
+
+def test_vertex_cap_refuses_the_header_before_any_member_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a member was built past the vertex cap")
+
+    for name in ("LabeledGraph", "HamPath", "PerfectMatching"):
+        monkeypatch.setattr(formats, name, refuse)
+    n = formats.MAX_VERTICES + 2  # even, so the matchings header passes its own check
+    path = " ".join(map(str, range(1, n + 1)))
+    matching = " ".join(f"{v}-{v + 1}" for v in range(1, n, 2))
+    # valid bodies, and bodies whose first line would fail to parse
+    for parser, tag, body in (
+        (parse_graph, "graph", "1 2"),
+        (parse_paths, "paths", path),
+        (parse_matchings, "matchings", matching),
+        (parse_graph, "graph", "x y"),
+        (parse_paths, "paths", "1 1"),
+        (parse_matchings, "matchings", "1-1"),
+    ):
+        with pytest.raises(FormatError) as excinfo:
+            parser(f"{tag} {n} 1\n{body}\n")
+        assert str(excinfo.value) == f"line 1: the vertex count is limited to n <= 4096, got {n}", tag
+    monkeypatch.undo()
+    # the cap itself is accepted
+    assert parse_graph("graph 4096 1\n4095 4096\n").n == 4096
+    assert parse_paths("paths 4096 0\n") == parse_matchings("matchings 4096 0\n") == []
 
 
 def test_parsers_tolerate_extra_whitespace():
@@ -440,6 +467,26 @@ def test_cli_refuses_sizes_past_the_caps(capsys, tmp_path):
         assert stderr.splitlines()[0] == f"error: the plane order is limited to q <= 31, got {q}"
         assert manifest_of(stderr)["exit_code"] == 2 and manifest_of(stderr)["outputs"] == {}
         assert not big.exists()
+
+    # a 40,000-vertex perfect matching as a graph, and paths and matchings past the vertex cap
+    n = 40000
+    graph = tmp_path / "matching.graph"
+    graph.write_text(f"graph {n} {n // 2}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n, 2)))
+    paths = tmp_path / "big.paths"
+    paths.write_text(f"paths 4097 1\n{' '.join(map(str, range(1, 4098)))}\n")
+    matchings = tmp_path / "big.matchings"
+    matchings.write_text("matchings 4098 1\n" + " ".join(f"{v}-{v + 1}" for v in range(1, 4098, 2)) + "\n")
+    for argv, got in (
+        (["verify", "c2kfree", "--k", "2", "--in", str(graph)], n),
+        (["count", "matchings", "--in", str(graph)], n),
+        (["verify", "creating", "--kind", "paths", "--k", "2", "--in", str(paths)], 4097),
+        (["verify", "creating", "--kind", "matchings", "--k", "2", "--in", str(matchings)], 4098),
+    ):
+        code, stdout, stderr = run_cli(capsys, argv)
+        assert (code, stdout) == (2, ""), argv
+        assert stderr.splitlines()[0] == f"error: line 1: the vertex count is limited to n <= 4096, got {got}"
+        manifest = manifest_of(stderr)
+        assert manifest["exit_code"] == 2 and list(manifest["inputs"]) == [argv[-1]]
 
 
 def test_cli_manifest_shape(capsys, tmp_path):

@@ -477,6 +477,24 @@ def test_searches_take_the_rooted_route_exactly_on_full_orbits(monkeypatch):
         assert routes == expected, (objects, relation)
 
 
+def test_searches_refuse_a_witness_that_fails_the_relation(monkeypatch):
+    # a full orbit of permutations, a full orbit of paths, and a path family that is not an orbit
+    paths = enumerate_ham_paths(4)
+    for objects, relation in ((enumerate_permutations(4), "reversing"), (paths, 4), (paths[:7] + paths[8:], 4)):
+        cg = build_compatibility_graph(objects, relation)
+        pairs = list(itertools.combinations(range(cg.size), 2))
+        related = next(pair for pair in pairs if cg.adjacency[pair[0]] >> pair[1] & 1)
+        unrelated = next(pair for pair in pairs if not cg.adjacency[pair[0]] >> pair[1] & 1)
+        for find, wrong, right in ((max_clique, unrelated, related), (max_independent_set, related, unrelated)):
+            monkeypatch.setattr(search, "_lex_least_clique", lambda adjacency, other=None: wrong)
+            with pytest.raises(RuntimeError) as raised:
+                find(cg)
+            assert str(raised.value) == "internal error: witness failed re-verification against the relation"
+            # the stub is what the search returns when the witness holds
+            monkeypatch.setattr(search, "_lex_least_clique", lambda adjacency, other=None: right)
+            assert find(cg) == (2, right), (relation, find.__name__)
+
+
 def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
     paths = enumerate_ham_paths(4)
     missing = paths[:7] + paths[8:]
