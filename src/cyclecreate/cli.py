@@ -1,9 +1,11 @@
 """Command line interface.
 
 Every run prints its primary result on stdout and exactly one JSON manifest
-line on stderr (command, parameters, input/output digests, wall time).  Exit
-codes: 0 success or property verified, 1 property violated (with the first
-witness on stdout), 2 usage, input format or input size errors.
+line on stderr: command, parameters, the sha256 of the bytes each input was
+read as and each output written with (each file is opened once, so a pipe,
+/dev/stdin or /dev/stdout works), and wall time.  Exit codes: 0 success or
+property verified, 1 property violated (with the first witness on stdout), 2
+usage, input format or input size errors.
 """
 
 from __future__ import annotations
@@ -48,15 +50,22 @@ def __getattr__(name: str):
 CLAIM7_MAX_M = 6
 
 
-def _read(path: str, inputs: list[str]) -> str:
-    text = Path(path).read_text()
-    inputs.append(path)
+def _read(path: str, inputs: dict[str, str]) -> str:
+    data = Path(path).read_bytes()
+    text = data.decode()  # a file that does not decode is not recorded
+    inputs[path] = _sha256(data)
     return text
 
 
-def _write(path: str, text: str, outputs: list[str]) -> None:
-    Path(path).write_text(text)
-    outputs.append(path)
+def _write(path: str, text: str, outputs: dict[str, str]) -> None:
+    data = text.encode()
+    Path(path).write_bytes(data)
+    outputs[path] = _sha256(data)
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
 def _require_k(k: int) -> None:
@@ -342,18 +351,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest(path: str) -> str:
-    import hashlib
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 _SKIP_PARAMS = frozenset({"handler", "command", "subcommand"})
 
 
 def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
-    inputs: list[str] = []
-    outputs: list[str] = []
+    inputs: dict[str, str] = {}
+    outputs: dict[str, str] = {}
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
@@ -377,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
             for key, value in sorted(vars(args).items())
             if key not in _SKIP_PARAMS and value is not None
         },
-        "inputs": {path: _digest(path) for path in inputs},
-        "outputs": {path: _digest(path) for path in outputs if Path(path).exists()},
+        "inputs": inputs,
+        "outputs": outputs,
         "exit_code": code,
         "wall_time_s": round(time.monotonic() - start, 6),
         "version": __version__,

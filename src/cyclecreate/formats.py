@@ -7,7 +7,7 @@ identical bytes.  Parsers are strict and name the first offending line.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .graphs import HamPath, LabeledGraph, PerfectMatching
 
@@ -29,7 +29,21 @@ def _int(token: str, line_no: int) -> int:
     raise FormatError(f"line {line_no}: expected an integer, got {token!r}")
 
 
-def _header(lines: list[str], tag: str, fields: int) -> list[int]:
+# The cap on a graph, paths or matchings file's n, checked before any body line
+# is parsed: adjacency masks and the work on them grow with n squared.  The
+# q = 31 plane that construct plane writes has 1,986 vertices.
+MAX_VERTICES = 4096
+
+
+def _frame(
+    text: str, tag: str, what: str, fields: int = 2, even: bool = False
+) -> tuple[list[int], Iterable[tuple[int, str]]]:
+    """The header fields of a '{tag} field...' file and its numbered body lines.
+
+    The last field counts the body's {what} lines.  A two-field header starts
+    with the vertex count n, which is capped (and must be even if asked).
+    """
+    lines = text.splitlines()
     if not lines:
         raise FormatError(f"line 1: empty input, expected a '{tag}' header")
     parts = lines[0].split()
@@ -38,43 +52,36 @@ def _header(lines: list[str], tag: str, fields: int) -> list[int]:
     values = [_int(token, 1) for token in parts[1:]]
     if min(values) < 0:
         raise FormatError(f"line 1: header fields must be nonnegative, got {lines[0]!r}")
-    return values
-
-
-# The cap on a graph, paths or matchings file's n, checked before any body line
-# is parsed: adjacency masks and the work on them grow with n squared.  The
-# q = 31 plane that construct plane writes has 1,986 vertices.
-MAX_VERTICES = 4096
-
-
-def _vertex_header(lines: list[str], tag: str) -> list[int]:
-    values = _header(lines, tag, 2)
-    if values[0] > MAX_VERTICES:
+    if fields == 2 and values[0] > MAX_VERTICES:
         raise FormatError(f"line 1: the vertex count is limited to n <= {MAX_VERTICES}, got {values[0]}")
-    return values
-
-
-def _body(lines: list[str], expected: int, what: str) -> list[str]:
-    actual = len(lines) - 1
+    if even and values[0] % 2:
+        raise FormatError(f"line 1: {tag} need an even vertex count, got {values[0]}")
+    expected, actual = values[-1], len(lines) - 1
     if actual != expected:
         where = min(actual, expected) + 2
-        raise FormatError(
-            f"line {where}: expected {expected} {what} lines after the header, got {actual}"
-        )
-    return lines[1:]
+        raise FormatError(f"line {where}: expected {expected} {what} lines after the header, got {actual}")
+    return values, enumerate(lines[1:], start=2)
+
+
+def _text(header: str, rows: Iterable[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _member(cls: Callable, items: list, line_no: int):
+    try:
+        return cls(items)
+    except ValueError as exc:
+        raise FormatError(f"line {line_no}: {exc}") from None
 
 
 def format_graph(g: LabeledGraph) -> str:
-    lines = [f"graph {g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    return _text(f"graph {g.n} {len(g.edges)}", (f"{u} {v}" for u, v in sorted(g.edges)))
 
 
 def parse_graph(text: str) -> LabeledGraph:
-    lines = text.splitlines()
-    n, m = _vertex_header(lines, "graph")
+    (n, _), body = _frame(text, "graph", "edge")
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(_body(lines, m, "edge"), start=2):
+    for line_no, raw in body:
         parts = raw.split()
         if len(parts) != 2:
             raise FormatError(f"line {line_no}: expected 'u v', got {raw!r}")
@@ -98,9 +105,7 @@ def _format_family(family: Sequence, kind: str, row: Callable) -> str:
     n = members[0].n
     if any(m.n != n for m in members):
         raise ValueError(f"{kind} family mixes ground set sizes")
-    lines = [f"{kind}s {n} {len(members)}"]
-    lines.extend(map(row, members))
-    return "\n".join(lines) + "\n"
+    return _text(f"{kind}s {n} {len(members)}", map(row, members))
 
 
 def format_paths(family: Sequence[HamPath]) -> str:
@@ -108,17 +113,13 @@ def format_paths(family: Sequence[HamPath]) -> str:
 
 
 def parse_paths(text: str) -> list[HamPath]:
-    lines = text.splitlines()
-    n, count = _vertex_header(lines, "paths")
+    (n, _), body = _frame(text, "paths", "path")
     family = []
-    for line_no, raw in enumerate(_body(lines, count, "path"), start=2):
+    for line_no, raw in body:
         values = [_int(token, line_no) for token in raw.split()]
         if len(values) != n:
             raise FormatError(f"line {line_no}: expected {n} labels, got {len(values)}")
-        try:
-            family.append(HamPath(values))
-        except ValueError as exc:
-            raise FormatError(f"line {line_no}: {exc}") from None
+        family.append(_member(HamPath, values, line_no))
     return family
 
 
@@ -129,12 +130,9 @@ def format_matchings(family: Sequence[PerfectMatching]) -> str:
 
 
 def parse_matchings(text: str) -> list[PerfectMatching]:
-    lines = text.splitlines()
-    n, count = _vertex_header(lines, "matchings")
-    if n % 2:
-        raise FormatError(f"line 1: matchings need an even vertex count, got {n}")
+    (n, _), body = _frame(text, "matchings", "matching", even=True)
     family = []
-    for line_no, raw in enumerate(_body(lines, count, "matching"), start=2):
+    for line_no, raw in body:
         tokens = raw.split()
         if len(tokens) != n // 2:
             raise FormatError(f"line {line_no}: expected {n // 2} pairs, got {len(tokens)}")
@@ -144,10 +142,7 @@ def parse_matchings(text: str) -> list[PerfectMatching]:
             if not sep or not left or not right:
                 raise FormatError(f"line {line_no}: expected 'a-b' pairs, got {token!r}")
             pairs.append((_int(left, line_no), _int(right, line_no)))
-        try:
-            matching = PerfectMatching(pairs)
-        except ValueError as exc:
-            raise FormatError(f"line {line_no}: {exc}") from None
+        matching = _member(PerfectMatching, pairs, line_no)
         if matching.n != n:
             raise FormatError(f"line {line_no}: pairs cover 1..{matching.n}, expected 1..{n}")
         family.append(matching)
@@ -159,18 +154,15 @@ def format_matrix(matrix: BiadjacencyMatrix) -> str:
         for entry in row:
             if not isinstance(entry, int):
                 raise ValueError("only integer matrices can be written to the matrix format")
-    lines = [f"matrix {matrix.m}"]
-    lines.extend(" ".join(str(entry) for entry in row) for row in matrix.rows)
-    return "\n".join(lines) + "\n"
+    return _text(f"matrix {matrix.m}", (" ".join(map(str, row)) for row in matrix.rows))
 
 
 def parse_matrix(text: str) -> BiadjacencyMatrix:
     from .counting import BiadjacencyMatrix
 
-    lines = text.splitlines()
-    (m,) = _header(lines, "matrix", 1)
+    (m,), body = _frame(text, "matrix", "row", fields=1)
     rows = []
-    for line_no, raw in enumerate(_body(lines, m, "row"), start=2):
+    for line_no, raw in body:
         values = [_int(token, line_no) for token in raw.split()]
         if len(values) != m:
             raise FormatError(f"line {line_no}: expected {m} entries, got {len(values)}")

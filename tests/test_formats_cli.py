@@ -120,6 +120,75 @@ def test_parse_errors_name_the_first_bad_line():
         assert fragment in str(excinfo.value), (parser.__name__, text)
 
 
+# every parser message in full, each with the checks that must come before it
+PARSE_MESSAGES = [
+    # the header: presence, tag and field count, integers, signs, the vertex cap, parity
+    (parse_graph, "", "line 1: empty input, expected a 'graph' header"),
+    (parse_paths, "", "line 1: empty input, expected a 'paths' header"),
+    (parse_matchings, "", "line 1: empty input, expected a 'matchings' header"),
+    (parse_matrix, "", "line 1: empty input, expected a 'matrix' header"),
+    (parse_graph, "paths 3 0\n", "line 1: expected 'graph' header with 2 fields, got 'paths 3 0'"),
+    (parse_matrix, "matrices 1\n1\n", "line 1: expected 'matrix' header with 1 fields, got 'matrices 1'"),
+    (parse_paths, "paths 3\n", "line 1: expected 'paths' header with 2 fields, got 'paths 3'"),
+    (parse_matrix, "matrix 2 2\n", "line 1: expected 'matrix' header with 1 fields, got 'matrix 2 2'"),
+    (parse_graph, "graph x 0\n", "line 1: expected an integer, got 'x'"),
+    (parse_graph, "graph -1 x\n", "line 1: expected an integer, got 'x'"),
+    (parse_graph, "graph 3 -1\n", "line 1: header fields must be nonnegative, got 'graph 3 -1'"),
+    (parse_matrix, "matrix -2\n", "line 1: header fields must be nonnegative, got 'matrix -2'"),
+    (parse_matchings, "matchings -3 0\n", "line 1: header fields must be nonnegative, got 'matchings -3 0'"),
+    (parse_graph, "graph 4097 0\n", "line 1: the vertex count is limited to n <= 4096, got 4097"),
+    (parse_paths, "paths 4097 0\n", "line 1: the vertex count is limited to n <= 4096, got 4097"),
+    (parse_matchings, "matchings 4097 0\n", "line 1: the vertex count is limited to n <= 4096, got 4097"),
+    (parse_matchings, "matchings 5 3\n1-2 3-4\n", "line 1: matchings need an even vertex count, got 5"),
+    # the body's line count, before any body line is read
+    (parse_graph, "graph 3 2\n1 2\n", "line 3: expected 2 edge lines after the header, got 1"),
+    (parse_graph, "graph 3 1\n1 2\n2 3\n", "line 3: expected 1 edge lines after the header, got 2"),
+    (parse_paths, "paths 3 2\n1 2 3\n", "line 3: expected 2 path lines after the header, got 1"),
+    (parse_paths, "paths 3 0\n1 2 3\n", "line 2: expected 0 path lines after the header, got 1"),
+    (parse_paths, "paths 3 2\n1 2\n", "line 3: expected 2 path lines after the header, got 1"),
+    (parse_matchings, "matchings 4 2\n1-2 3-4\n", "line 3: expected 2 matching lines after the header, got 1"),
+    (parse_matrix, "matrix 1\n", "line 2: expected 1 row lines after the header, got 0"),
+    (parse_matrix, "matrix 1\n1\n1\n", "line 3: expected 1 row lines after the header, got 2"),
+    # body tokens
+    (parse_graph, "graph 3 1\n1 b\n", "line 2: expected an integer, got 'b'"),
+    (parse_paths, "paths 3 1\n1 2 3.0\n", "line 2: expected an integer, got '3.0'"),
+    (parse_matchings, "matchings 4 1\n1-2 3-x\n", "line 2: expected an integer, got 'x'"),
+    (parse_matrix, "matrix 2\n1 2\n3 4e0\n", "line 3: expected an integer, got '4e0'"),
+    # paths
+    (parse_paths, "paths 3 1\n1 2\n", "line 2: expected 3 labels, got 2"),
+    (parse_paths, "paths 3 1\n1 2 3 4\n", "line 2: expected 3 labels, got 4"),
+    (parse_paths, "paths 3 1\n1 2 2\n", "line 2: order must be a permutation of 1..3"),
+    (parse_paths, "paths 3 1\n1 2 4\n", "line 2: order must be a permutation of 1..3"),
+    (parse_paths, "paths 1 1\n1\n", "line 2: a path needs at least two vertices, got 1"),
+    # matchings
+    (parse_matchings, "matchings 4 1\n1-2 34\n", "line 2: expected 'a-b' pairs, got '34'"),
+    (parse_matchings, "matchings 4 1\n1-2 3-\n", "line 2: expected 'a-b' pairs, got '3-'"),
+    (parse_matchings, "matchings 4 1\n1-2\n", "line 2: expected 2 pairs, got 1"),
+    (parse_matchings, "matchings 4 1\n1-2 3-5\n",
+     "line 2: pairs must cover a ground set 1..2m with every vertex in exactly one pair"),
+    (parse_matchings, "matchings 4 1\n1-2 2-1\n", "line 2: pairs cover 1..2, expected 1..4"),
+    # graphs
+    (parse_graph, "graph 3 1\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
+    (parse_graph, "graph 3 1\n2 1\n", "line 2: edges must satisfy u < v, got 2 1"),
+    (parse_graph, "graph 3 1\n2 2\n", "line 2: edges must satisfy u < v, got 2 2"),
+    (parse_graph, "graph 3 1\n0 2\n", "line 2: edge (0, 2) is outside 1..3"),
+    (parse_graph, "graph 3 1\n1 4\n", "line 2: edge (1, 4) is outside 1..3"),
+    (parse_graph, "graph 3 2\n1 2\n1 2\n", "line 3: duplicate edge 1 2"),
+    # matrices
+    (parse_matrix, "matrix 2\n1 2\n3\n", "line 3: expected 2 entries, got 1"),
+    (parse_matrix, "matrix 2\n1 2\n3 4 5\n", "line 3: expected 2 entries, got 3"),
+]
+
+
+def test_parse_error_messages_in_full():
+    for parser, text, message in PARSE_MESSAGES:
+        # a CRLF or CR-only file gets the same message
+        for newline in ("\n", "\r\n", "\r"):
+            with pytest.raises(FormatError) as excinfo:
+                parser(text.replace("\n", newline))
+            assert str(excinfo.value) == message, (parser.__name__, text, newline)
+
+
 def test_vertex_cap_refuses_the_header_before_any_member_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a member was built past the vertex cap")
@@ -502,6 +571,55 @@ def test_cli_manifest_shape(capsys, tmp_path):
     assert manifest["parameters"]["n"] == 5
     assert "kmax" not in manifest["parameters"]
     assert manifest["wall_time_s"] >= 0
+
+
+def test_manifest_digests_the_bytes_read_from_a_pipe(capsys):
+    # a pipe can be read only once: its digest is of the bytes that went in
+    family = format_paths(lower_bound_family(5, 2)).encode()
+    read_end, write_end = os.pipe()
+    os.write(write_end, family)
+    os.close(write_end)
+    try:
+        piped = f"/dev/fd/{read_end}"
+        code, stdout, stderr = run_cli(
+            capsys, ["verify", "creating", "--kind", "paths", "--k", "2", "--in", piped]
+        )
+    finally:
+        os.close(read_end)
+    assert (code, stdout) == (0, "ok 2 members, 1 pairs create length 4\n")
+    assert manifest_of(stderr)["inputs"] == {piped: hashlib.sha256(family).hexdigest()}
+
+
+def test_manifest_records_a_file_rewritten_in_place_as_read_and_as_written(capsys, tmp_path):
+    same = tmp_path / "same.matchings"
+    original = format_matchings(K4_MATCHINGS).encode()
+    same.write_bytes(original)
+    code, _, stderr = run_cli(capsys, ["reduce", "shrink", "--in", str(same), "--out", str(same)])
+    assert code == 0 and same.read_bytes() != original
+    manifest = manifest_of(stderr)
+    assert manifest["inputs"] == {str(same): hashlib.sha256(original).hexdigest()}
+    assert manifest["outputs"] == {str(same): hashlib.sha256(same.read_bytes()).hexdigest()}
+
+
+def test_a_file_that_does_not_decode_is_refused_and_not_recorded(capsys, tmp_path):
+    latin = tmp_path / "latin.paths"
+    latin.write_bytes(b"paths 3 1\n1 2 3 \xe9\n")
+    code, _, stderr = run_cli(capsys, ["verify", "creating", "--kind", "paths", "--k", "2", "--in", str(latin)])
+    assert code == 2 and stderr.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+    assert manifest_of(stderr)["inputs"] == {}
+
+
+def test_output_to_stdout_is_written_once_and_digested():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "cyclecreate", "construct", "lower-bound", "--n", "7", "--k", "2",
+         "--out", "/dev/stdout"],
+        capture_output=True, env=env, timeout=30,
+    )
+    assert done.returncode == 0
+    family = format_paths(lower_bound_family(7, 2)).encode()
+    assert done.stdout == family + b"wrote 6 paths on 7 vertices\n"
+    assert manifest_of(done.stderr.decode())["outputs"] == {"/dev/stdout": hashlib.sha256(family).hexdigest()}
 
 
 def test_module_entry_point_smoke():
