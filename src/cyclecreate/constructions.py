@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
+from math import factorial, isqrt
 
 from .graphs import (
+    MAX_VERTICES,
     HamPath,
     LabeledGraph,
     PerfectMatching,
@@ -19,6 +20,8 @@ from .graphs import (
 )
 
 MAX_LOWER_BOUND_BLOCKS = 9  # the family has ((n-1)/k)! paths
+# ((n-1)/k)! * n labels in all; the most the block cap admits at k = 2 (n = 19)
+MAX_LOWER_BOUND_LABELS = factorial(MAX_LOWER_BOUND_BLOCKS) * (2 * MAX_LOWER_BOUND_BLOCKS + 1)
 MAX_PLANE_ORDER = 31  # the build checks all (q^2+q+1)^2 point-line pairs
 
 
@@ -44,6 +47,12 @@ def lower_bound_family(n: int, k: int) -> list[HamPath]:
     m = (n - 1) // k
     if m > MAX_LOWER_BOUND_BLOCKS:
         raise ValueError(f"the family is limited to (n-1)/k <= {MAX_LOWER_BOUND_BLOCKS}, got {m}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"the family is limited to n <= {MAX_VERTICES}, got {n}")
+    labels = factorial(m) * n
+    if labels > MAX_LOWER_BOUND_LABELS:
+        cap = f"((n-1)/k)! * n <= {MAX_LOWER_BOUND_LABELS} labels"
+        raise ValueError(f"the family is limited to {cap}, got {labels}")
     blocks = [tuple(range(t * k + 2, (t + 1) * k + 1)) for t in range(m)]
     family = []
     for assignment in itertools.permutations(range(m)):

@@ -46,10 +46,13 @@ def biadjacency(g: LabeledGraph) -> tuple[BiadjacencyMatrix, tuple[int, ...], tu
     """0/1 matrix of a bipartite graph with equal color classes.
 
     Rows follow the first class and columns the second, both in ascending
-    vertex order; the classes are returned alongside the matrix.
+    vertex order; the classes are returned alongside the matrix.  The
+    permanent's cap on m is checked before the m x m matrix is built.
     """
     left, right = _equal_classes(g)
-    return _matrix(g, left, right), left, right
+    _refuse_past_cap(len(left))
+    adj = g.adjacency
+    return BiadjacencyMatrix(tuple(adj[u] >> v & 1 for v in right) for u in left), left, right
 
 
 def _equal_classes(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -60,11 +63,6 @@ def _equal_classes(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(left) != len(right):
         raise ValueError(f"bipartition classes differ in size ({len(left)} vs {len(right)})")
     return left, right
-
-
-def _matrix(g: LabeledGraph, left: tuple[int, ...], right: tuple[int, ...]) -> BiadjacencyMatrix:
-    adj = g.adjacency
-    return BiadjacencyMatrix(tuple(adj[u] >> v & 1 for v in right) for u in left)
 
 
 def _refuse_past_cap(m: int) -> None:
@@ -186,11 +184,8 @@ def permanent_naive(matrix: BiadjacencyMatrix) -> Entry:
 
 
 def count_perfect_matchings(g: LabeledGraph) -> int:
-    """Exact number of perfect matchings of a bipartite graph with equal
-    classes.  The permanent's cap is checked before the matrix is built."""
-    left, right = _equal_classes(g)
-    _refuse_past_cap(len(left))
-    result = permanent_ryser(_matrix(g, left, right))
+    """Exact number of perfect matchings of a bipartite graph with equal classes."""
+    result = permanent_ryser(biadjacency(g)[0])
     assert isinstance(result, int)
     return result
 
@@ -218,27 +213,21 @@ def check_regular_matching_bound(g: LabeledGraph) -> MatchingBoundReport:
     """Count perfect matchings of an r-regular bipartite graph and compare with
     the guaranteed minimum r^m * m!/m^m.
 
-    The scaled matrix A/r is confirmed doubly stochastic in exact rationals,
-    which is what makes the minimum apply.  The permanent's cap is checked
-    last, but before the matrix is built.
+    The check passes only if A/r is doubly stochastic, which is what makes the
+    minimum apply: every row and column of A sums to r.  The classes are
+    checked first and the permanent's cap last, before the matrix is built.
     """
-    left, right = _equal_classes(g)
+    _equal_classes(g)
     degs = g.degrees()
     degree = degs[0] if degs else 0
     if any(d != degree for d in degs):
         raise ValueError("graph is not regular")
     if degree < 1:
         raise ValueError("graph must have positive degree")
-    _refuse_past_cap(len(left))
-    matrix = _matrix(g, left, right)
+    matrix = biadjacency(g)[0]
     m = matrix.m
     count = permanent_ryser(matrix)
     assert isinstance(count, int)
-    row_sums_ok = all(sum(Fraction(e, degree) for e in row) == 1 for row in matrix.rows)
-    col_sums_ok = all(
-        sum(Fraction(matrix.rows[i][j], degree) for i in range(m)) == 1 for j in range(m)
-    )
-    bound = Fraction(degree ** m) * van_der_waerden_bound(m)
-    return MatchingBoundReport(
-        m, degree, count, bound, row_sums_ok and col_sums_ok, count >= bound
-    )
+    stochastic = all(sum(line) == degree for line in (*matrix.rows, *zip(*matrix.rows)))
+    bound = degree ** m * van_der_waerden_bound(m)
+    return MatchingBoundReport(m, degree, count, bound, stochastic, stochastic and count >= bound)

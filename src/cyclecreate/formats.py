@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .graphs import HamPath, LabeledGraph, PerfectMatching
+from .graphs import MAX_VERTICES, HamPath, LabeledGraph, PerfectMatching
 
 if TYPE_CHECKING:  # counting, and fractions with it, is loaded only to parse a matrix
     from .counting import BiadjacencyMatrix
@@ -29,19 +29,13 @@ def _int(token: str, line_no: int) -> int:
     raise FormatError(f"line {line_no}: expected an integer, got {token!r}")
 
 
-# The cap on a graph, paths or matchings file's n, checked before any body line
-# is parsed: adjacency masks and the work on them grow with n squared.  The
-# q = 31 plane that construct plane writes has 1,986 vertices.
-MAX_VERTICES = 4096
-
-
 def _frame(
     text: str, tag: str, what: str, fields: int = 2, even: bool = False
 ) -> tuple[list[int], Iterable[tuple[int, str]]]:
     """The header fields of a '{tag} field...' file and its numbered body lines.
 
     The last field counts the body's {what} lines.  A two-field header starts
-    with the vertex count n, which is capped (and must be even if asked).
+    with the vertex count n, capped before the body is read (and even if asked).
     """
     lines = text.splitlines()
     if not lines:

@@ -16,6 +16,11 @@ from typing import Iterable, Sequence
 
 Vertex = int
 
+# The cap on the n of a graph, paths or matchings file, and of a constructed
+# family: adjacency masks and the work on them grow with n squared.  The
+# q = 31 plane that construct plane writes has 1,986 vertices.
+MAX_VERTICES = 4096
+
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
@@ -186,15 +191,13 @@ def _creates(a: Sequence[int], b: Sequence[int], length: int) -> bool:
 def contains_cycle_of_length(g: LabeledGraph, length: int) -> bool:
     """Decide whether g has a simple cycle on exactly `length` vertices.
 
-    Depth-first search over simple paths, anchored at the smallest vertex of
-    the candidate cycle so no cycle is searched from two different anchors.
-    Each cycle is walked one way only: it leaves the anchor by the lower of
-    its two neighbours there and must close at a higher one, and the last
-    vertex is found with one mask test against those higher neighbours.
+    That is the creating relation of g with itself: depth-first search over
+    simple paths, anchored at the smallest vertex of the candidate cycle so no
+    cycle is searched from two different anchors.  Each cycle is walked one
+    way only: it leaves the anchor by the lower of its two neighbours there
+    and must close at a higher one, found with one mask test.
     """
-    if length < 3:
-        raise ValueError(f"cycle length must be at least 3, got {length}")
-    return _creates(g.adjacency, g.adjacency, length)
+    return is_creating(g, g, length)
 
 
 def girth(g: LabeledGraph) -> int | float:

@@ -1,9 +1,10 @@
-from math import inf
+from math import factorial, inf
 
 import pytest
 
 from cyclecreate.constructions import (
     MAX_LOWER_BOUND_BLOCKS,
+    MAX_LOWER_BOUND_LABELS,
     MAX_PLANE_ORDER,
     ValidationReport,
     choose_plane_order,
@@ -69,6 +70,26 @@ def test_lower_bound_family_size_guard():
         lower_bound_family(21, 2)
     with pytest.raises(ValueError, match=r"<= 9, got 12$"):
         lower_bound_family(37, 3)
+
+
+def test_lower_bound_family_vertex_and_label_caps():
+    # the block cap alone admits any n: 9! paths of 4,096 labels would hold about 12 GB
+    assert MAX_LOWER_BOUND_LABELS == factorial(9) * 19  # n = 19, k = 2: 6,894,720 labels
+    with pytest.raises(ValueError, match=r"^the family is limited to n <= 4096, got 60001$"):
+        lower_bound_family(60001, 7500)
+    with pytest.raises(ValueError, match=r"^the family is limited to n <= 4096, got 4097$"):
+        lower_bound_family(4097, 2048)
+    labels = r"^the family is limited to \(\(n-1\)/k\)! \* n <= 6894720 labels, got {}$"
+    with pytest.raises(ValueError, match=labels.format(1486356480)):
+        lower_bound_family(4096, 455)
+    with pytest.raises(ValueError, match=labels.format(5040 * 1373)):
+        lower_bound_family(1373, 196)
+    # the existing checks answer first
+    with pytest.raises(ValueError, match=r"<= 9, got 10$"):
+        lower_bound_family(40961, 4096)
+    with pytest.raises(ValueError, match="mod k"):
+        lower_bound_family(60002, 7500)
+    assert [path.n for path in lower_bound_family(4095, 2047)] == [4095, 4095]
 
 
 def test_lower_bound_family_deterministic():

@@ -203,7 +203,7 @@ def test_permanent_cap_comes_before_the_matrix(monkeypatch):
 
     monkeypatch.setattr(counting, "BiadjacencyMatrix", spy)
     matching = LabeledGraph(200, [(2 * i - 1, 2 * i) for i in range(1, 101)])
-    for solve in (count_perfect_matchings, check_regular_matching_bound):
+    for solve in (biadjacency, count_perfect_matchings, check_regular_matching_bound):
         with pytest.raises(ValueError, match=r"^the permanent is limited to m <= 26, got 100$"):
             solve(matching)
     # where a graph fails several checks, the first of bipartite, equal
@@ -298,6 +298,16 @@ def test_matching_bound_long_cycle():
     assert report.count == 2
     assert report.bound == Fraction(2 ** 4 * factorial(4), 4 ** 4)
     assert report.passed
+
+
+def test_matching_bound_fails_without_its_hypothesis(monkeypatch):
+    # the minimum r^m * m!/m^m holds only for doubly stochastic A/r: with rows
+    # and columns summing to 4 on a 2-regular graph, the count alone passes
+    ones = BiadjacencyMatrix([[1] * 4] * 4)
+    monkeypatch.setattr(counting, "biadjacency", lambda g: (ones, (1, 3, 5, 7), (2, 4, 6, 8)))
+    report = check_regular_matching_bound(cycle_graph(8))
+    assert report.count == 24 and report.count >= report.bound
+    assert not report.doubly_stochastic and not report.passed
 
 
 def test_matching_bound_validation():

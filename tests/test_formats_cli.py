@@ -405,6 +405,72 @@ def test_cli_check_claim4(capsys, tmp_path):
     assert stdout == "ok 1 sharing pairs checked\n"
 
 
+def only_manifest(stderr, code):
+    # the whole of stderr past any error line is one manifest with this exit code
+    rows = stderr.splitlines()
+    assert sum(row.startswith("{") for row in rows) == 1 and rows[-1].startswith("{")
+    manifest = manifest_of(stderr)
+    assert manifest["exit_code"] == code
+    return rows[:-1], manifest
+
+
+def test_cli_refuses_k_below_two_and_kmax_below_k(capsys, tmp_path):
+    family = str(tmp_path / "family.paths")
+    out = tmp_path / "out.matchings"
+    for argv in (
+        ["verify", "creating", "--kind", "paths", "--k", "1", "--in", family],
+        ["reduce", "paths-to-matchings", "--k", "1", "--in", family, "--out", str(out)],
+        ["check", "claim4", "--k", "1", "--in", family],
+    ):
+        code, stdout, stderr = run_cli(capsys, argv)
+        assert (code, stdout) == (2, ""), argv
+        errors, manifest = only_manifest(stderr, 2)
+        assert errors == ["error: --k must be at least 2, got 1"], argv
+        assert manifest["inputs"] == manifest["outputs"] == {}
+    assert not out.exists()
+    code, stdout, stderr = run_cli(capsys, ["bounds", "--k", "3", "--kmax", "2"])
+    assert (code, stdout) == (2, "")
+    assert only_manifest(stderr, 2)[0] == ["error: --kmax must be at least --k, got 2 < 3"]
+
+
+def test_cli_c2kfree_names_the_first_failed_property(capsys, tmp_path):
+    triangle = tmp_path / "triangle.graph"
+    triangle.write_text(format_graph(LabeledGraph(3, [(1, 2), (2, 3), (1, 3)])))
+    path = tmp_path / "path.graph"
+    path.write_text(format_graph(LabeledGraph(4, [(1, 2), (2, 3), (3, 4)])))
+    for infile, line in (
+        (triangle, "violation: graph is not bipartite\n"),
+        (path, "violation: graph is not regular\n"),
+    ):
+        code, stdout, stderr = run_cli(capsys, ["verify", "c2kfree", "--k", "2", "--in", str(infile)])
+        assert (code, stdout) == (1, line)
+        errors, manifest = only_manifest(stderr, 1)
+        assert errors == [] and list(manifest["inputs"]) == [str(infile)]
+
+
+def test_cli_lemma6_and_claim4_report_a_violation(capsys, tmp_path, monkeypatch):
+    # neither can fail on real input, so the library calls are replaced on the cli module
+    from fractions import Fraction
+
+    from cyclecreate.counting import MatchingBoundReport
+
+    k33 = tmp_path / "k33.graph"
+    k33.write_text(format_graph(LabeledGraph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])))
+    report = MatchingBoundReport(3, 3, 5, Fraction(6), True, False)
+    monkeypatch.setattr(cli, "check_regular_matching_bound", lambda g: report)
+    code, stdout, stderr = run_cli(capsys, ["check", "lemma6", "--in", str(k33)])
+    assert (code, stdout) == (1, "violation: 5 matchings < bound 6/1\n")
+    assert only_manifest(stderr, 1)[0] == []
+
+    pair = tmp_path / "pair.paths"
+    pair.write_text(format_paths([IDENTITY_12, SWAPPED_MIDDLE_12]))
+    monkeypatch.setattr(cli, "verify_fixed_edges_unused", lambda a, b, k: False)
+    code, stdout, stderr = run_cli(capsys, ["check", "claim4", "--k", "2", "--in", str(pair)])
+    assert code == 1
+    assert stdout == "violation: members 1 and 2 use a shared block edge in a cycle of length 4\n"
+    assert only_manifest(stderr, 1)[0] == []
+
+
 def test_cli_check_claim7(capsys):
     code, stdout, _ = run_cli(capsys, ["check", "claim7", "--m", "3"])
     assert code == 0
@@ -527,6 +593,17 @@ def test_cli_refuses_sizes_past_the_caps(capsys, tmp_path):
     assert stderr.splitlines()[0] == "error: the family is limited to (n-1)/k <= 9, got 10"
     assert manifest_of(stderr)["exit_code"] == 2 and manifest_of(stderr)["outputs"] == {}
     assert not out.exists()
+    # nine blocks of 455 labels (9! paths of 4,096 labels), and n past the file cap
+    for n, k, error in (
+        ("4096", "455", "((n-1)/k)! * n <= 6894720 labels, got 1486356480"),
+        ("60001", "7500", "n <= 4096, got 60001"),
+    ):
+        argv = ["construct", "lower-bound", "--n", n, "--k", k, "--out", str(out)]
+        code, stdout, stderr = run_cli(capsys, argv)
+        assert (code, stdout) == (2, "")
+        errors, manifest = only_manifest(stderr, 2)
+        assert errors == [f"error: the family is limited to {error}"] and manifest["outputs"] == {}
+        assert not out.exists()
 
     # a plane order past the cap, prime or not, before any work
     for q in ("37", "1000003"):
@@ -607,6 +684,45 @@ def test_a_file_that_does_not_decode_is_refused_and_not_recorded(capsys, tmp_pat
     code, _, stderr = run_cli(capsys, ["verify", "creating", "--kind", "paths", "--k", "2", "--in", str(latin)])
     assert code == 2 and stderr.startswith("error: 'utf-8' codec can't decode byte 0xe9")
     assert manifest_of(stderr)["inputs"] == {}
+
+
+def test_an_input_past_the_byte_cap_is_refused_and_not_recorded(capsys, tmp_path, monkeypatch):
+    # a file of exactly the cap is read, one byte more is refused
+    family = tmp_path / "family.paths"
+    family.write_text(format_paths(lower_bound_family(5, 2)))
+    size = family.stat().st_size
+    argv = ["verify", "creating", "--kind", "paths", "--k", "2", "--in", str(family)]
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+    assert run_cli(capsys, argv)[:2] == (0, "ok 2 members, 1 pairs create length 4\n")
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+    code, _, stderr = run_cli(capsys, argv)
+    assert code == 2 and manifest_of(stderr)["inputs"] == {}
+    assert stderr.startswith(f"error: the input is limited to {size - 1} bytes, got more in {family}\n")
+
+
+def test_unbounded_requests_exit_2_under_an_address_space_limit(tmp_path):
+    # each would allocate gigabytes without the caps; 400 MB is ample for the refusal
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 10**6, 400 * 10**6))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv, error in (
+        (["construct", "lower-bound", "--n", "4096", "--k", "455", "--out", "family.paths"],
+         "the family is limited to ((n-1)/k)! * n <= 6894720 labels, got 1486356480"),
+        (["verify", "creating", "--kind", "paths", "--k", "2", "--in", "/dev/zero"],
+         "the input is limited to 67108864 bytes, got more in /dev/zero"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclecreate", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, preexec_fn=limit, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        errors, manifest = only_manifest(done.stderr, 2)
+        assert errors == [f"error: {error}"]
+        assert manifest["inputs"] == manifest["outputs"] == {}
+    assert not (tmp_path / "family.paths").exists()
 
 
 def test_output_to_stdout_is_written_once_and_digested():

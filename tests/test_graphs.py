@@ -139,9 +139,12 @@ def test_cycle_detection_on_known_graphs():
     k4 = LabeledGraph(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
     assert contains_cycle_of_length(k4, 3)
     assert contains_cycle_of_length(k4, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle length must be at least 3, got 2$"):
         contains_cycle_of_length(k4, 2)
     assert not contains_cycle_of_length(k4, 5)
+    # the creating relation's own family check refuses what is not a graph
+    with pytest.raises(TypeError, match=r"^expected a graph, path, or matching, got tuple$"):
+        contains_cycle_of_length(k4.adjacency, 4)
 
 
 def test_cycle_detection_matches_subset_oracle():
