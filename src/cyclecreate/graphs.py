@@ -5,6 +5,11 @@ Vertices are 1-based integer labels.  The graphs handled here are tiny
 (dozens of vertices), and every question is decided exactly by exhaustive
 search with pruning, never by sampling or floating point.  All operations are
 pure: the same inputs always give the same answer and the same tie-breaks.
+
+Relabelling the vertices preserves cycles of every length.  So a family of
+paths that its own relabellings move transitively, from member 0 to any
+member, is verified pairwise creating from the pairs (0, j) alone (see
+verify_pairwise_creating).
 """
 
 from __future__ import annotations
@@ -153,17 +158,25 @@ def _path_to(
     a: Sequence[int], b: Sequence[int], ends: int, current: int, allowed: int, remaining: int
 ) -> bool:
     """True iff the union of a and b has a path from `current` through
-    `remaining` >= 1 more vertices of `allowed`, the last of them in `ends`."""
-    options = (a[current] | b[current]) & allowed
-    if remaining == 1:
-        return bool(options & ends)
-    remaining -= 1
-    while options:
-        low = options & -options
-        options ^= low
-        if _path_to(a, b, ends, low.bit_length() - 1, allowed ^ low, remaining):
-            return True
-    return False
+    `remaining` >= 1 more vertices of `allowed`, the last of them in `ends`.
+
+    Every option but the highest is tried by recursion, and the highest by
+    the loop, so the stack grows only at vertices where the walk branches.
+    """
+    while True:
+        options = (a[current] | b[current]) & allowed
+        if remaining == 1:
+            return bool(options & ends)
+        if not options:
+            return False
+        remaining -= 1
+        while options & (options - 1):
+            low = options & -options
+            options ^= low
+            if _path_to(a, b, ends, low.bit_length() - 1, allowed ^ low, remaining):
+                return True
+        current = options.bit_length() - 1
+        allowed ^= options
 
 
 def _has_cycle_through(a: Sequence[int], b: Sequence[int], u: int, v: int, length: int) -> bool:
@@ -347,6 +360,64 @@ class FamilyReport:
     first_violation: tuple[int, int] | None  # 0-based member indices, scan order
 
 
+def _path_images(first: tuple, target: tuple, orders: Iterable[tuple]) -> Iterable[tuple]:
+    """Path orders under the relabelling of 1..n that takes order `first` to
+    order `target` place by place, each put back in canonical orientation."""
+    sigma = dict(zip(first, target)).__getitem__
+    for order in orders:
+        image = tuple(map(sigma, order))
+        yield image if image[0] < image[-1] else image[::-1]
+
+
+def _transitive(members: Sequence) -> bool:
+    """True iff the members are distinct paths and the relabellings of 1..n
+    that map the family onto itself take member 0 to every member.
+
+    The orbit of member 0 grows from generators.  A relabelling that takes
+    path 0 onto path j takes its order to j's order read one way or the
+    other, so for the smallest j outside the orbit there are two candidates,
+    and the first that maps the whole family onto itself is kept; if neither
+    does, no relabelling of the family takes 0 to j.  Each kept generator
+    enlarges the group, and a chain of subgroups of S_n has fewer than 3n/2
+    steps, so the test takes O(N n^2) steps at most.
+    """
+    if len(members) < 2 or type(members[0]) is not HamPath:
+        return False
+    orders = [path.order for path in members]
+    index = {order: i for i, order in enumerate(orders)}
+    if len(index) < len(orders):
+        return False
+    seen = bytearray(len(orders))
+    seen[0] = 1
+    orbit, moves, j = [0], [], 0
+    while len(orbit) < len(orders):
+        j = seen.index(0, j)
+        move = _family_move(index, orders, orders[j]) or _family_move(index, orders, orders[j][::-1])
+        if move is None:
+            return False
+        moves.append(move)
+        # the orbit so far is closed under the earlier moves, so they need
+        # only be applied to what the new one adds
+        done = len(orbit)
+        for at, i in enumerate(orbit):  # the loop also visits what it appends
+            for m in moves if at >= done else (move,):
+                if not seen[m[i]]:
+                    seen[m[i]] = 1
+                    orbit.append(m[i])
+    return True
+
+
+def _family_move(index: dict, orders: list, target: tuple) -> list[int] | None:
+    """The relabelling that takes order 0 to `target`, as the index of each
+    member's image, or None at the first image that is no member."""
+    move = []
+    for image in _path_images(orders[0], target, orders):
+        if image not in index:
+            return None
+        move.append(index[image])
+    return move
+
+
 def verify_pairwise_creating(
     family: Iterable[LabeledGraph | HamPath | PerfectMatching],
     length: int,
@@ -356,13 +427,22 @@ def verify_pairwise_creating(
     The scan order is lexicographic over index pairs (i, j) with i < j, and the
     reported violation is the first pair in that order.  An empty or
     single-member family passes with zero pairs.
+
+    Relabelling 1..n maps the union of two members onto the union of their
+    images, so it preserves the relation.  When the family is of distinct
+    paths and the relabellings that map it onto itself take member 0 to
+    every member (see _transitive), as on a lower-bound family, any pair
+    (i, j) has the answer of some pair (0, j'), and only row 0 is scanned:
+    if all of it creates, every pair does, and otherwise its first failing
+    pair is the first violation of the full scan, which starts with row 0.
     """
     members = list(family)
     size = len(members)
     pair_count = size * (size - 1) // 2
     adjacencies = _family_adjacencies(members, length)
+    rows = adjacencies[:1] if _transitive(members) else adjacencies
 
-    for i, adj_i in enumerate(adjacencies):
+    for i, adj_i in enumerate(rows):
         for j in range(i + 1, size):
             if not _creates(adj_i, adjacencies[j], length):
                 return FamilyReport(False, size, length, pair_count, (i, j))

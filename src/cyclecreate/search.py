@@ -42,6 +42,7 @@ from .graphs import (
     Permutation,
     _creates,
     _family_adjacencies,
+    _path_images,
     enumerate_perfect_matchings_of,
 )
 
@@ -177,14 +178,7 @@ def _pair_test(objs: Sequence, relation: int | str) -> tuple[Sequence, Callable[
 
 
 # The images of a list of a full orbit's raw keys under the relabelling that
-# takes key `first` to key `target`, place by place.
-def _path_images(first: tuple, target: tuple, orders: list) -> list:
-    """Orders, mapped vertex by vertex and put back in canonical orientation."""
-    sigma = dict(zip(first, target)).__getitem__
-    mapped = [tuple(map(sigma, order)) for order in orders]
-    return [order if order[0] < order[-1] else order[::-1] for order in mapped]
-
-
+# takes key `first` to key `target`, place by place (for paths, graphs._path_images).
 def _matching_images(first: tuple, target: tuple, matchings: list) -> list:
     """Sorted edge tuples, mapped edge by edge and sorted again."""
     sigma = dict(zip(itertools.chain(*first), itertools.chain(*target)))

@@ -257,6 +257,26 @@ def test_cli_construct_and_verify_round_trip(capsys, tmp_path):
     assert manifest["inputs"][str(out)] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+# 1, 2, ..., 1201 and the odd vertices up, then the even ones down
+SQUARE_OF_A_PATH = [HamPath(range(1, 1202)), HamPath([*range(1, 1202, 2), *range(1200, 0, -2)])]
+
+
+@pytest.mark.parametrize(
+    "n, k, stdout",
+    [
+        ("15", "2", "ok 5040 members, 12698280 pairs create length 4\n"),
+        # a cycle on 1,200 vertices, deeper than Python's recursion limit
+        ("1201", "600", "ok 2 members, 1 pairs create length 1200\n"),
+    ],
+)
+def test_cli_verifies_large_lower_bound_families(capsys, tmp_path, n, k, stdout):
+    out = str(tmp_path / "family.paths")
+    assert run_cli(capsys, ["construct", "lower-bound", "--n", n, "--k", k, "--out", out])[0] == 0
+    code, printed, stderr = run_cli(capsys, ["verify", "creating", "--kind", "paths", "--k", k, "--in", out])
+    assert (code, printed) == (0, stdout)
+    assert manifest_of(stderr)["exit_code"] == 0
+
+
 def test_cli_verify_creating_reports_first_violation(capsys, tmp_path):
     path = HamPath((1, 2, 3, 4, 5))
     bad = tmp_path / "bad.paths"
@@ -529,11 +549,13 @@ def test_cli_errors_exit_2_with_manifest(capsys, tmp_path):
     assert code == 2
     assert "error: line 2" in stderr
 
-    # a cycle search deeper than Python's recursion limit is refused like an enumeration cap
-    big = str(tmp_path / "big.paths")
-    assert run_cli(capsys, ["construct", "lower-bound", "--n", "1201", "--k", "600", "--out", big])[0] == 0
+    # a cycle search deeper than Python's recursion limit is refused like an
+    # enumeration cap: the union of these two paths is the square of a path,
+    # so the search branches at every vertex of its first descent
+    big = tmp_path / "big.paths"
+    big.write_text(format_paths(SQUARE_OF_A_PATH))
     code, stdout, stderr = run_cli(
-        capsys, ["verify", "creating", "--kind", "paths", "--k", "600", "--in", big]
+        capsys, ["verify", "creating", "--kind", "paths", "--k", "600", "--in", str(big)]
     )
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: maximum recursion depth exceeded")

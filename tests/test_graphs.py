@@ -1,15 +1,19 @@
 import itertools
 import random
+import sys
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cyclecreate import graphs
 from cyclecreate.graphs import (
     FamilyReport,
     HamPath,
     LabeledGraph,
     PerfectMatching,
     Permutation,
+    _creates,
     _has_cycle_through,
     bipartition,
     contains_cycle_of_length,
@@ -17,8 +21,9 @@ from cyclecreate.graphs import (
     is_creating,
     verify_pairwise_creating,
 )
-from cyclecreate.constructions import projective_plane_incidence
+from cyclecreate.constructions import lower_bound_family, projective_plane_incidence
 from cyclecreate.counting import count_perfect_matchings
+from cyclecreate.search import enumerate_ham_paths, enumerate_perfect_matchings
 from oracles import (
     all_cycles_oracle,
     bipartition_oracle,
@@ -124,6 +129,16 @@ def test_paths_and_matchings_are_graphs():
 # ------------------------------------------------------------
 # cycle detection
 # ------------------------------------------------------------
+
+def test_a_cycle_deeper_than_the_recursion_limit_is_decided():
+    # the search recurses only where it branches, and a cycle never branches
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    cycle = LabeledGraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+    assert contains_cycle_of_length(cycle, n)
+    assert not contains_cycle_of_length(cycle, n - 1)
+    assert not contains_cycle_of_length(cycle, 3)
+
 
 def test_cycle_detection_on_known_graphs():
     two_paths = edge_union(HamPath((1, 2, 3, 4)), HamPath((1, 3, 2, 4)))
@@ -443,3 +458,128 @@ def test_verify_pairwise_matches_naive_scan():
         if trial % 5 == 0:  # so does a random stray
             family.insert(rng.randrange(len(family) + 1), draw())
         assert verify_pairwise_creating(family, length) == naive_family_report(family, length)
+
+
+def relabelled(rng, family):
+    """The family under a random relabelling of 1..n, in a random order."""
+    sigma = [0] + rng.sample(range(1, family[0].n + 1), family[0].n)
+    out = [HamPath(sigma[v] for v in path.order) for path in family]
+    rng.shuffle(out)
+    return out
+
+
+def count_creates(monkeypatch, answer=None):
+    """Count the creating kernel's calls; answer yes without running it when asked."""
+    calls = []
+
+    def spy(a, b, length):
+        calls.append((a, b))
+        return _creates(a, b, length) if answer is None else answer
+
+    monkeypatch.setattr(graphs, "_creates", spy)
+    return calls
+
+
+def test_a_family_its_relabellings_move_transitively_is_decided_from_row_0(monkeypatch):
+    rng = random.Random(24)
+    lower_bound = [relabelled(rng, lower_bound_family(n, k)) for n, k in ((7, 2), (9, 2), (13, 2), (10, 3))]
+    for family, k in zip(lower_bound, (2, 2, 2, 3)):
+        calls = count_creates(monkeypatch)
+        assert verify_pairwise_creating(family, 2 * k).passed
+        assert len(calls) == len(family) - 1
+        assert all(a is family[0].adjacency for a, _ in calls)
+    # full orbits never pass, so a kernel that answers yes shows the route
+    for n in (5, 6):
+        orbit = enumerate_ham_paths(n)
+        rng.shuffle(orbit)
+        calls = count_creates(monkeypatch, answer=True)
+        assert verify_pairwise_creating(orbit, 4).passed
+        assert len(calls) == len(orbit) - 1
+
+    # any other family is scanned pair by pair
+    spoiled = list(lower_bound[2])
+    spoiled[100] = HamPath(spoiled[0].order[5:] + spoiled[0].order[:5])
+    duplicated = lower_bound[1] + lower_bound[1][3:4]
+    triangle = LabeledGraph(3, [(1, 2), (2, 3), (1, 3)])
+    others = [
+        (spoiled, 4),
+        (duplicated, 4),
+        (enumerate_perfect_matchings(6), 4),
+        (relabelled(rng, lower_bound_family(9, 2))[:20], 4),
+        ([triangle, triangle, triangle], 3),
+    ]
+    for family, length in others:
+        calls = count_creates(monkeypatch, answer=True)
+        assert verify_pairwise_creating(family, length).passed
+        assert len(calls) == len(family) * (len(family) - 1) // 2
+        calls = count_creates(monkeypatch)
+        report = verify_pairwise_creating(family, length)
+        assert report == naive_family_report(family, length)
+        i, j = report.first_violation or (len(family) - 2, len(family) - 1)
+        assert len(calls) == i * (2 * len(family) - i - 1) // 2 + j - i
+
+
+def test_a_family_closed_under_a_group_but_not_transitive_is_scanned_in_full():
+    # two orbits of the involution 2 <-> 5, 3 <-> 4; the one violation joins the second orbit
+    family = [HamPath(order) for order in ((2, 3, 5, 1, 4), (3, 1, 2, 4, 5), (2, 4, 1, 5, 3), (4, 2, 1, 3, 5))]
+    report = verify_pairwise_creating(family, 5)
+    assert report == naive_family_report(family, 5)
+    assert report.first_violation == (2, 3)
+
+
+def group_of(moves, cap):
+    """The permutations the moves generate (image tuples), or None past cap of them."""
+    group = {tuple(range(1, len(moves[0]) + 1))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for move in moves:
+            image = tuple(move[v - 1] for v in g)
+            if image not in group:
+                if len(group) == cap:
+                    return None
+                group.add(image)
+                frontier.append(image)
+    return group
+
+
+@st.composite
+def group_families(draw):
+    """Orbits, or unions of two orbits, of paths on 1..n (n <= 8) under a
+    random subgroup of S_n with at most 24 elements, in a random order, with
+    a planted duplicate or stray member or neither; and a cycle length."""
+    n = draw(st.integers(4, 8))
+    labels = st.permutations(range(1, n + 1)).map(tuple)
+    # a permutation that moves only the points of a drawn support
+    moves = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True).flatmap(
+        lambda support: st.permutations(support).map(
+            lambda images: tuple(dict(zip(support, images)).get(v, v) for v in range(1, n + 1))
+        )
+    )
+    generators = draw(st.lists(moves, min_size=1, max_size=2))
+    # one permutation of at most 8 points has order at most 15
+    group = group_of(generators, 24) or group_of(generators[:1], 24)
+    seeds = draw(st.lists(labels, min_size=1, max_size=2))
+    members = dict.fromkeys(HamPath(g[v - 1] for v in seed) for seed in seeds for g in sorted(group))
+    family = draw(st.permutations(list(members)))
+    plant = draw(st.sampled_from(["neither", "duplicate", "stray"]))
+    if plant != "neither":
+        extra = draw(st.sampled_from(family)) if plant == "duplicate" else HamPath(draw(labels))
+        family.insert(draw(st.integers(0, len(family))), extra)
+    return family, draw(st.integers(3, n))
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_verify_pairwise_on_group_families_matches_naive_scan():
+    routes = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(group_families())
+    def check(case):
+        family, length = case
+        routes.append(graphs._transitive(family))
+        assert verify_pairwise_creating(family, length) == naive_family_report(family, length)
+
+    check()
+    # both routes are taken often
+    assert min(routes.count(True), routes.count(False)) >= 60, routes.count(True)
