@@ -6,14 +6,17 @@ Vertices are 1-based integer labels.  The graphs handled here are tiny
 search with pruning, never by sampling or floating point.  All operations are
 pure: the same inputs always give the same answer and the same tie-breaks.
 
-Relabelling the vertices preserves cycles of every length.  So a family of
-paths that its own relabellings move transitively, from member 0 to any
-member, is verified pairwise creating from the pairs (0, j) alone (see
-verify_pairwise_creating).
+Relabelling the vertices preserves cycles of every length.  So on a family
+of paths, matchings or permutations that its own relabellings move
+transitively, from member 0 to any member, every pair has the answer of some
+pair (0, j).  One test, _orbit_tree, decides that row 0 speaks for the whole
+family, for the all-pairs check here (see verify_pairwise_creating) and for
+the compatibility graphs and searches of the search module.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -369,49 +372,85 @@ def _path_images(first: tuple, target: tuple, orders: Iterable[tuple]) -> Iterab
         yield image if image[0] < image[-1] else image[::-1]
 
 
-def _transitive(members: Sequence) -> bool:
-    """True iff the members are distinct paths and the relabellings of 1..n
-    that map the family onto itself take member 0 to every member.
+def _matching_images(first: tuple, target: tuple, matchings: Iterable[tuple]) -> Iterable[tuple]:
+    """Sorted edge tuples under the relabelling that takes sorted edge tuple
+    `first` to `target` place by place, mapped edge by edge and sorted again."""
+    sigma = dict(zip(itertools.chain(*first), itertools.chain(*target)))
+    pairs = itertools.combinations(sorted(sigma.items()), 2)
+    edge = {(u, v): (x, y) if x < y else (y, x) for (u, x), (v, y) in pairs}
+    return (tuple(sorted(map(edge.__getitem__, edges))) for edges in matchings)
 
-    The orbit of member 0 grows from generators.  A relabelling that takes
-    path 0 onto path j takes its order to j's order read one way or the
-    other, so for the smallest j outside the orbit there are two candidates,
-    and the first that maps the whole family onto itself is kept; if neither
-    does, no relabelling of the family takes 0 to j.  Each kept generator
+
+def _permutation_images(first: tuple, target: tuple, perms: Iterable[tuple]) -> Iterable[tuple]:
+    """Image tuples relabelled on values: tau = target . first^-1, and p goes to tau . p."""
+    tau = dict(zip(first, target)).__getitem__
+    return (tuple(map(tau, images)) for images in perms)
+
+
+# Per kind, for _orbit_tree: a member's raw key, the keys that member 0's key
+# may be taken to on the way to a member's, and the images of raw keys.
+# Relabelling 1..n preserves creating, and relabelling values reversing.
+_ORBIT_KINDS = {
+    HamPath: (lambda path: path.order, lambda order: (order, order[::-1]), _path_images),
+    PerfectMatching: (lambda m: tuple(sorted(m.edges)), lambda edges: (edges,), _matching_images),
+    Permutation: (lambda perm: perm.images, lambda images: (images,), _permutation_images),
+}
+
+
+def _orbit_tree(members: Sequence) -> dict[int, tuple[int, list[int]]] | None:
+    """A Schreier tree of member 0's orbit under the relabellings that map
+    the family, of one kind on one ground set, onto itself; or None.
+
+    The orbit grows from generators.  For the smallest member j outside it,
+    the relabellings that take member 0's raw key to each of j's candidate
+    keys (see _ORBIT_KINDS) are tried, and the first that maps every member
+    to a member is kept as a move: the index of each member's image.  The
+    tree maps each member but 0, in the order reached, to the (parent, move)
+    that first reached it, with move[parent] that member.  Each kept move
     enlarges the group, and a chain of subgroups of S_n has fewer than 3n/2
     steps, so the test takes O(N n^2) steps at most.
+
+    The test is sound for all three kinds: a tree proves the family
+    transitive.  It is complete only for paths, where a relabelling that
+    takes path 0 onto path j reads j's order one way or the other; for a
+    matching or a permutation it tries one relabelling of many, so None
+    there only means "scan pair by pair".  Every full enumeration of two or
+    more members has a tree; fewer than two members, graphs and families
+    with a repeated member have none.
     """
-    if len(members) < 2 or type(members[0]) is not HamPath:
-        return False
-    orders = [path.order for path in members]
-    index = {order: i for i, order in enumerate(orders)}
-    if len(index) < len(orders):
-        return False
-    seen = bytearray(len(orders))
-    seen[0] = 1
-    orbit, moves, j = [0], [], 0
-    while len(orbit) < len(orders):
-        j = seen.index(0, j)
-        move = _family_move(index, orders, orders[j]) or _family_move(index, orders, orders[j][::-1])
+    kind = _ORBIT_KINDS.get(type(members[0])) if len(members) > 1 else None
+    if kind is None:
+        return None
+    key, targets, images = kind
+    keys = [key(member) for member in members]
+    index = {k: i for i, k in enumerate(keys)}
+    if len(index) < len(keys):
+        return None
+    orbit, moves, tree = [0], [], {0: None}
+    for j in range(1, len(keys)):
+        if j in tree:
+            continue
+        candidates = (_family_move(index, images(keys[0], t, keys)) for t in targets(keys[j]))
+        move = next(filter(None, candidates), None)
         if move is None:
-            return False
+            return None
         moves.append(move)
         # the orbit so far is closed under the earlier moves, so they need
         # only be applied to what the new one adds
         done = len(orbit)
         for at, i in enumerate(orbit):  # the loop also visits what it appends
             for m in moves if at >= done else (move,):
-                if not seen[m[i]]:
-                    seen[m[i]] = 1
+                if m[i] not in tree:
                     orbit.append(m[i])
-    return True
+                    tree[m[i]] = (i, m)
+    del tree[0]
+    return tree
 
 
-def _family_move(index: dict, orders: list, target: tuple) -> list[int] | None:
-    """The relabelling that takes order 0 to `target`, as the index of each
-    member's image, or None at the first image that is no member."""
+def _family_move(index: dict, images: Iterable) -> list[int] | None:
+    """The members' images as member indices, or None at the first image that is no member."""
     move = []
-    for image in _path_images(orders[0], target, orders):
+    for image in images:
         if image not in index:
             return None
         move.append(index[image])
@@ -429,20 +468,21 @@ def verify_pairwise_creating(
     single-member family passes with zero pairs.
 
     Relabelling 1..n maps the union of two members onto the union of their
-    images, so it preserves the relation.  When the family is of distinct
-    paths and the relabellings that map it onto itself take member 0 to
-    every member (see _transitive), as on a lower-bound family, any pair
-    (i, j) has the answer of some pair (0, j'), and only row 0 is scanned:
-    if all of it creates, every pair does, and otherwise its first failing
-    pair is the first violation of the full scan, which starts with row 0.
+    images, so it preserves the relation.  Row 0, the pairs (0, j), is
+    scanned first, and its first failing pair is the first violation.  If
+    all of it creates and the relabellings that map the family onto itself
+    take member 0 to every member (see _orbit_tree), as on a lower-bound
+    family, any pair (i, j) has the answer of some pair (0, j'), so every
+    pair creates; otherwise rows 1.. are scanned too.
     """
     members = list(family)
     size = len(members)
     pair_count = size * (size - 1) // 2
     adjacencies = _family_adjacencies(members, length)
-    rows = adjacencies[:1] if _transitive(members) else adjacencies
 
-    for i, adj_i in enumerate(rows):
+    for i, adj_i in enumerate(adjacencies):
+        if i == 1 and _orbit_tree(members) is not None:
+            break
         for j in range(i + 1, size):
             if not _creates(adj_i, adjacencies[j], length):
                 return FamilyReport(False, size, length, pair_count, (i, j))

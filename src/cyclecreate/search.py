@@ -9,20 +9,21 @@ would, and the lexicographically least optimal witness is then built vertex by
 vertex with the same search.  Witnesses are re-verified against the defining
 relation before being returned.
 
-When the objects are a full enumeration (every Hamiltonian path, perfect
-matching or permutation on one ground set, each once), relabelling the ground
-set maps the relation to itself and moves any object to any other, so the
-graph and its complement are vertex-transitive.  Every vertex, object 0
-included, then lies in a maximum clique, and the search of a graph of such
-objects, in any order, starts from object 0 inside its neighbourhood.  The
-witness is the same lexicographically least one either way.  The graph itself
-evaluates the relation only between object 0 and each other object: row i is
-row 0 mapped through a relabelling that takes object 0 to object i.
+When the objects are a family that its relabellings move transitively (see
+graphs._orbit_tree), as every full enumeration (every Hamiltonian path,
+perfect matching or permutation on one ground set, each once) is, relabelling
+the ground set maps the relation to itself and moves any object to any
+other, so the graph and its complement are vertex-transitive.  Every vertex,
+object 0 included, then lies in a maximum clique, and the search of such a
+graph, in any order, starts from object 0 inside its neighbourhood.  The
+witness is the same lexicographically least one either way.  The graph
+itself evaluates the relation only between object 0 and each other object:
+every other row is its parent's row in the orbit tree, relabelled.
 
 On a vertex-transitive graph with N vertices, alpha * omega <= N (the
 clique-coclique bound of Albertson and Collins), so an independent set of size
-a proves omega <= N // a, and a clique bounds alpha the same way.  On full
-enumerations each step of the count-up races the other side's search for such
+a proves omega <= N // a, and a clique bounds alpha the same way.  On such
+families each step of the count-up races the other side's search for such
 a certificate: the two searches take turns, each resumed where it stopped, in
 slices of deterministic length, and a certificate ends the count-up without
 the step that fails, often the costliest one.
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial, prod
+from math import comb
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .graphs import (
@@ -42,7 +44,7 @@ from .graphs import (
     Permutation,
     _creates,
     _family_adjacencies,
-    _path_images,
+    _orbit_tree,
     enumerate_perfect_matchings_of,
 )
 
@@ -121,11 +123,12 @@ class CompatibilityGraph:
     them, and refuses to set them.
 
     Objects must be of one kind: paths, matchings, or graphs together with an
-    integer cycle length, or permutations (or none) with "reversing".  On
-    a full enumeration (see _full_orbit) only object 0 is related to each
-    other object, and every other row is row 0 relabelled (see _orbit_rows).
-    Permutations of two sizes raise at the first pair of them that a
-    pairwise scan in index order meets.
+    integer cycle length, or permutations (or none) with "reversing".  Row 0
+    is computed first, so permutations of two sizes raise at the first pair
+    of them that a pairwise scan in index order meets.  On a family with an
+    orbit tree (see graphs._orbit_tree) only object 0 is related to each
+    other object, and every other row is its parent's row relabelled (see
+    _map_rows); any other family is related pair by pair.
     """
 
     objects: tuple
@@ -135,16 +138,15 @@ class CompatibilityGraph:
     def __init__(self, objects: Sequence, relation: int | str):
         objs = tuple(objects)
         items, related = _pair_test(objs, relation)
-        if _full_orbit(objs):
-            row = sum(1 << j for j in range(1, len(items)) if related(items[0], items[j]))
-            adjacency = _orbit_rows(objs, row)
-        else:
-            adjacency = [0] * len(objs)
-            for i, a in enumerate(items):
-                for j in range(i + 1, len(items)):
-                    if related(a, items[j]):
-                        adjacency[i] |= 1 << j
-                        adjacency[j] |= 1 << i
+        adjacency = [0] * len(objs)
+        for i, a in enumerate(items):
+            if i == 1 and (tree := _orbit_tree(objs)) is not None:
+                _map_rows(adjacency, tree)
+                break
+            for j in range(i + 1, len(items)):
+                if related(a, items[j]):
+                    adjacency[i] |= 1 << j
+                    adjacency[j] |= 1 << i
         object.__setattr__(self, "objects", objs)
         object.__setattr__(self, "adjacency", tuple(adjacency))
         object.__setattr__(self, "relation", relation)
@@ -163,6 +165,28 @@ def build_compatibility_graph(objects: Sequence, relation: int | str) -> Compati
     return CompatibilityGraph(objects, relation)
 
 
+def _map_rows(adjacency: list[int], tree: dict) -> None:
+    """Fill in every row but row 0 of a family with an orbit tree (see
+    graphs._orbit_tree), in the tree's order: a relabelling that maps the
+    family onto itself preserves the relation, so row i is its parent's row
+    mapped through the move that takes the parent to i.
+
+    A row is mapped whole as its bit string, through one itemgetter per move
+    that reads each image's bit at its preimage's place: one pass in C over
+    N characters, whatever the row's density, and nothing kept per row.
+    """
+    size = len(adjacency)
+    getters: dict[int, itemgetter] = {}
+    for i, (parent, move) in tree.items():
+        if id(move) not in getters:
+            # places in the bit string count down from the highest index
+            places = [0] * size
+            for j, image in enumerate(move):
+                places[size - 1 - image] = size - 1 - j
+            getters[id(move)] = itemgetter(*places)
+        adjacency[i] = int("".join(getters[id(move)](f"{adjacency[parent]:0{size}b}")), 2)
+
+
 def _pair_test(objs: Sequence, relation: int | str) -> tuple[Sequence, Callable[..., bool]]:
     """The relation's checks on a family, and the items and pair test that
     decide it: the permutations themselves with is_reversing, or the members'
@@ -175,58 +199,6 @@ def _pair_test(objs: Sequence, relation: int | str) -> tuple[Sequence, Callable[
     if not isinstance(relation, int):
         raise ValueError(f"paths, matchings, and graphs need an integer cycle length, got {relation!r}")
     return _family_adjacencies(objs, relation), lambda a, b: _creates(a, b, relation)
-
-
-# The images of a list of a full orbit's raw keys under the relabelling that
-# takes key `first` to key `target`, place by place (for paths, graphs._path_images).
-def _matching_images(first: tuple, target: tuple, matchings: list) -> list:
-    """Sorted edge tuples, mapped edge by edge and sorted again."""
-    sigma = dict(zip(itertools.chain(*first), itertools.chain(*target)))
-    pairs = itertools.combinations(sorted(sigma.items()), 2)
-    edge = {(u, v): (x, y) if x < y else (y, x) for (u, x), (v, y) in pairs}
-    return [tuple(sorted(map(edge.__getitem__, edges))) for edges in matchings]
-
-
-def _permutation_images(first: tuple, target: tuple, perms: list) -> list:
-    """Image tuples, relabelled on values: tau = target . first^-1, and p goes to tau . p."""
-    tau = dict(zip(first, target)).__getitem__
-    return [tuple(map(tau, images)) for images in perms]
-
-
-# Each kind of full orbit: how many objects share object 0's ground set, an
-# object's raw key, and the images of raw keys (above).
-_ORBITS = {
-    HamPath: (lambda path: factorial(path.n) // 2, lambda path: path.order, _path_images),
-    PerfectMatching: (
-        lambda matching: prod(range(matching.n - 1, 0, -2)),
-        lambda matching: tuple(sorted(matching.edges)),
-        _matching_images,
-    ),
-    Permutation: (lambda perm: factorial(perm.m), lambda perm: perm.images, _permutation_images),
-}
-
-
-def _orbit_rows(objs: tuple, row: int) -> tuple[int, ...]:
-    """The adjacency of a full orbit (see _full_orbit), given row 0.
-
-    Relabelling the ground set preserves the relation, so row i is row 0
-    mapped through any relabelling that takes object 0 to object i.  Of row 0
-    and its complement without object 0, the one with fewer members is
-    mapped, and each image is found by one dict lookup of its raw key.
-    """
-    _, key, images = _ORBITS[type(objs[0])]
-    keys = [key(obj) for obj in objs]
-    bit = {k: 1 << j for j, k in enumerate(keys)}
-    full = (1 << len(keys)) - 1
-    rest = full ^ row ^ 1
-    flip = rest.bit_count() < row.bit_count()
-    mapped = rest if flip else row
-    members = [k for j, k in enumerate(keys) if mapped >> j & 1]
-    rows = []
-    for i, target in enumerate(keys):
-        mask = sum(map(bit.__getitem__, images(keys[0], target, members)))
-        rows.append(full ^ mask ^ 1 << i if flip else mask)
-    return tuple(rows)
 
 
 def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -363,38 +335,22 @@ def _lex_least_clique(adjacency: Sequence[int], other: Sequence[int] | None = No
     return tuple(chosen)
 
 
-def _full_orbit(objects: tuple) -> bool:
-    """True iff the objects are every Hamiltonian path, perfect matching or
-    permutation on their ground set, each exactly once.  Relabelling the ground
-    set acts transitively on them and preserves both relations, so their
-    compatibility graph is vertex-transitive.  Fewer than two objects are
-    never an orbit here.
-
-    The objects must already be known to be of one kind.  For permutations
-    the ground set is that of object 0 and is not checked: a family that
-    mixes sizes can pass the counts here, and CompatibilityGraph then
-    raises while relating object 0 to each other object, at the same pair as
-    a pairwise scan, before the answer is used.
-    """
-    orbit = _ORBITS.get(type(objects[0])) if len(objects) > 1 else None
-    return orbit is not None and len(objects) == orbit[0](objects[0]) == len(set(objects))
-
-
 def _max_set(cg: CompatibilityGraph, related: bool) -> tuple[int, tuple[int, ...]]:
     """The largest set of objects that are pairwise related (a clique) or
     pairwise unrelated (an independent set), with the lexicographically least
     witness: a clique of that side's graph.
 
-    A full enumeration (see _full_orbit), in any order, is searched from
-    object 0, with the other side's cliques as certificates that end the
-    search early (see _lex_least_clique); any other family is searched in
-    full.  The witness is re-verified pair by pair with the relation's own
+    A family with an orbit tree (see graphs._orbit_tree), such as a full
+    enumeration in any order, is searched from object 0, with the other
+    side's cliques as certificates that end the search early (see
+    _lex_least_clique); any other family is searched in full.  The witness is re-verified pair by pair with the relation's own
     pair test before being returned.
     """
     full = (1 << cg.size) - 1
     complement = tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(cg.adjacency))
     graph, other = (cg.adjacency, complement) if related else (complement, cg.adjacency)
-    witness = _lex_least_clique(graph, other if _full_orbit(cg.objects) else None)
+    rooted = _orbit_tree(cg.objects) is not None
+    witness = _lex_least_clique(graph, other if rooted else None)
     items, test = _pair_test([cg.objects[i] for i in witness], cg.relation)
     if any(test(a, b) != related for a, b in itertools.combinations(items, 2)):
         raise RuntimeError("internal error: witness failed re-verification against the relation")

@@ -4,7 +4,9 @@ Nothing here shares code with the package routines it checks: cycles are found
 by trying every vertex subset and every cyclic order, cliques by trying every
 vertex subset, perfect matchings by trying every set of n/2 edges, reversals
 by the double loop straight from the definition, the union of two matchings
-by walking partners, and bipartitions by colouring vertex by vertex.
+by walking partners, and bipartitions by colouring vertex by vertex.  Groups
+of relabellings are closed by composing their generators until nothing new
+appears, and families closed under them are built by relabelling members.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from cyclecreate.graphs import LabeledGraph, PerfectMatching, Permutation
+from hypothesis import strategies as st
+
+from cyclecreate.graphs import FamilyReport, HamPath, LabeledGraph, PerfectMatching, Permutation
 
 
 def edge_union(a, b) -> LabeledGraph:
@@ -174,3 +178,82 @@ def matching_union_components_oracle(
         seen.update(walk)
         components.append(("cycle", tuple(walk)))
     return components
+
+
+def naive_family_report(family, length) -> FamilyReport:
+    """The all-pairs creating check, every pair decided by the subset oracle."""
+    first = next(
+        (
+            (i, j)
+            for i, j in itertools.combinations(range(len(family)), 2)
+            if not cycle_exists_oracle(edge_union(family[i], family[j]), length)
+        ),
+        None,
+    )
+    size = len(family)
+    return FamilyReport(first is None, size, length, size * (size - 1) // 2, first)
+
+
+def group_of(moves, cap):
+    """The permutations the moves generate (image tuples), or None past cap of them."""
+    group = {tuple(range(1, len(moves[0]) + 1))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for move in moves:
+            image = tuple(move[v - 1] for v in g)
+            if image not in group:
+                if len(group) == cap:
+                    return None
+                group.add(image)
+                frontier.append(image)
+    return group
+
+
+def relabelled_by(g, member):
+    """A path, matching or permutation with each label v (a permutation's
+    values) replaced by g[v - 1]."""
+    if isinstance(member, HamPath):
+        return HamPath(g[v - 1] for v in member.order)
+    if isinstance(member, PerfectMatching):
+        return PerfectMatching((g[u - 1], g[v - 1]) for u, v in member.edges)
+    return Permutation(g[v - 1] for v in member.images)
+
+
+# per kind: the sizes n of 1..n, a member from an ordering of 1..n, and the relations for n
+KINDS = {
+    "paths": (range(4, 9), HamPath, lambda n: range(3, n + 1)),
+    "matchings": ((4, 6, 8), lambda labels: PerfectMatching(zip(labels[::2], labels[1::2])),
+                  lambda n: range(4, n + 1, 2)),
+    "permutations": (range(3, 7), Permutation, lambda n: ("reversing",)),
+}
+
+
+@st.composite
+def group_families(draw, kinds, cap, max_size):
+    """A family of one of the kinds ("paths", "matchings", "permutations")
+    and a relation for it: the orbit of a member, or the union of two orbits
+    cut to max_size members, under a random group of relabellings of 1..n
+    with at most cap elements, in a random order, with a planted duplicate or
+    stray member (a quarter of the time each) or neither."""
+    sizes, member, relations = KINDS[draw(st.sampled_from(kinds))]
+    n = draw(st.sampled_from(sizes))
+    labels = st.permutations(range(1, n + 1)).map(tuple)
+    # a permutation that moves only the points of a drawn support
+    moves = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True).flatmap(
+        lambda support: st.permutations(support).map(
+            lambda images: tuple(dict(zip(support, images)).get(v, v) for v in range(1, n + 1))
+        )
+    )
+    generators = draw(st.lists(moves, min_size=1, max_size=2))
+    # one permutation of at most 8 points has order at most 15, so a cap
+    # below that needs the trivial group last
+    group = group_of(generators, cap) or group_of(generators[:1], cap) or {tuple(range(1, n + 1))}
+    seeds = [member(seed) for seed in draw(st.lists(labels, min_size=1, max_size=2))]
+    members = dict.fromkeys(relabelled_by(g, seed) for seed in seeds for g in sorted(group))
+    family = draw(st.permutations(list(members)[:max_size]))
+    plant = draw(st.sampled_from(["neither", "neither", "duplicate", "stray"]))
+    if plant != "neither":
+        extra = draw(st.sampled_from(family)) if plant == "duplicate" else member(draw(labels))
+        family.insert(draw(st.integers(0, len(family))), extra)
+    return family, draw(st.sampled_from(relations(n)))

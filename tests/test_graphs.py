@@ -4,7 +4,7 @@ import sys
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from cyclecreate import graphs
 from cyclecreate.graphs import (
@@ -29,7 +29,9 @@ from oracles import (
     bipartition_oracle,
     cycle_exists_oracle,
     edge_union,
+    group_families,
     matching_union_components_oracle,
+    naive_family_report,
 )
 
 
@@ -418,19 +420,6 @@ def test_verify_pairwise_mixed_kind_and_ground_set_errors():
         verify_pairwise_creating([], 2)
 
 
-def naive_family_report(family, length):
-    first = next(
-        (
-            (i, j)
-            for i, j in itertools.combinations(range(len(family)), 2)
-            if not cycle_exists_oracle(edge_union(family[i], family[j]), length)
-        ),
-        None,
-    )
-    size = len(family)
-    return FamilyReport(first is None, size, length, size * (size - 1) // 2, first)
-
-
 def oracle_creating_family(rng, draw, length, attempts):
     """Greedily keep random members that create with every member kept so far."""
     family = []
@@ -489,8 +478,9 @@ def test_a_family_its_relabellings_move_transitively_is_decided_from_row_0(monke
         assert len(calls) == len(family) - 1
         assert all(a is family[0].adjacency for a, _ in calls)
     # full orbits never pass, so a kernel that answers yes shows the route
-    for n in (5, 6):
-        orbit = enumerate_ham_paths(n)
+    orbits = [enumerate_ham_paths(5), enumerate_ham_paths(6), enumerate_perfect_matchings(6),
+              enumerate_perfect_matchings(8)]
+    for orbit in orbits:
         rng.shuffle(orbit)
         calls = count_creates(monkeypatch, answer=True)
         assert verify_pairwise_creating(orbit, 4).passed
@@ -504,7 +494,7 @@ def test_a_family_its_relabellings_move_transitively_is_decided_from_row_0(monke
     others = [
         (spoiled, 4),
         (duplicated, 4),
-        (enumerate_perfect_matchings(6), 4),
+        (enumerate_perfect_matchings(6)[1:], 4),
         (relabelled(rng, lower_bound_family(9, 2))[:20], 4),
         ([triangle, triangle, triangle], 3),
     ]
@@ -519,6 +509,22 @@ def test_a_family_its_relabellings_move_transitively_is_decided_from_row_0(monke
         assert len(calls) == i * (2 * len(family) - i - 1) // 2 + j - i
 
 
+def test_the_orbit_test_runs_only_once_row_0_has_passed(monkeypatch):
+    family = relabelled(random.Random(25), lower_bound_family(13, 2))
+    # (family, the row of its first violation): a repeated member 0 and the
+    # 105 matchings on 1..8 fail in row 0, and a repeated member 5 in row 5
+    cases = [(family, None), (family + family[5:6], 5), (family + family[:1], 0),
+             (enumerate_perfect_matchings(8), 0)]
+    for members, row in cases:
+        calls = count_creates(monkeypatch)
+        asked = []
+        monkeypatch.setattr(graphs, "_orbit_tree", lambda members: asked.append(len(calls)))
+        report = verify_pairwise_creating(members, 4)
+        assert (report.first_violation or (None,))[0] == row, report
+        # asked once, after the N - 1 calls of row 0, unless row 0 failed
+        assert asked == ([] if row == 0 else [len(members) - 1]), report
+
+
 def test_a_family_closed_under_a_group_but_not_transitive_is_scanned_in_full():
     # two orbits of the involution 2 <-> 5, 3 <-> 4; the one violation joins the second orbit
     family = [HamPath(order) for order in ((2, 3, 5, 1, 4), (3, 1, 2, 4, 5), (2, 4, 1, 5, 3), (4, 2, 1, 3, 5))]
@@ -527,57 +533,17 @@ def test_a_family_closed_under_a_group_but_not_transitive_is_scanned_in_full():
     assert report.first_violation == (2, 3)
 
 
-def group_of(moves, cap):
-    """The permutations the moves generate (image tuples), or None past cap of them."""
-    group = {tuple(range(1, len(moves[0]) + 1))}
-    frontier = list(group)
-    while frontier:
-        g = frontier.pop()
-        for move in moves:
-            image = tuple(move[v - 1] for v in g)
-            if image not in group:
-                if len(group) == cap:
-                    return None
-                group.add(image)
-                frontier.append(image)
-    return group
-
-
-@st.composite
-def group_families(draw):
-    """Orbits, or unions of two orbits, of paths on 1..n (n <= 8) under a
-    random subgroup of S_n with at most 24 elements, in a random order, with
-    a planted duplicate or stray member or neither; and a cycle length."""
-    n = draw(st.integers(4, 8))
-    labels = st.permutations(range(1, n + 1)).map(tuple)
-    # a permutation that moves only the points of a drawn support
-    moves = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True).flatmap(
-        lambda support: st.permutations(support).map(
-            lambda images: tuple(dict(zip(support, images)).get(v, v) for v in range(1, n + 1))
-        )
-    )
-    generators = draw(st.lists(moves, min_size=1, max_size=2))
-    # one permutation of at most 8 points has order at most 15
-    group = group_of(generators, 24) or group_of(generators[:1], 24)
-    seeds = draw(st.lists(labels, min_size=1, max_size=2))
-    members = dict.fromkeys(HamPath(g[v - 1] for v in seed) for seed in seeds for g in sorted(group))
-    family = draw(st.permutations(list(members)))
-    plant = draw(st.sampled_from(["neither", "duplicate", "stray"]))
-    if plant != "neither":
-        extra = draw(st.sampled_from(family)) if plant == "duplicate" else HamPath(draw(labels))
-        family.insert(draw(st.integers(0, len(family))), extra)
-    return family, draw(st.integers(3, n))
-
-
 @pytest.mark.usefixtures("hypothesis_home")
 def test_verify_pairwise_on_group_families_matches_naive_scan():
     routes = []
 
+    # orbits and unions of two orbits of paths and matchings on 1..n (n <= 8)
+    # under groups of at most 24 relabellings
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(group_families())
+    @given(group_families(("paths", "matchings"), 24, 48))
     def check(case):
         family, length = case
-        routes.append(graphs._transitive(family))
+        routes.append(graphs._orbit_tree(family) is not None)
         assert verify_pairwise_creating(family, length) == naive_family_report(family, length)
 
     check()

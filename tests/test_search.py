@@ -13,6 +13,7 @@ from cyclecreate.graphs import (
     LabeledGraph,
     PerfectMatching,
     Permutation,
+    _orbit_tree,
     enumerate_perfect_matchings_of,
     is_creating,
     verify_pairwise_creating,
@@ -22,7 +23,6 @@ from cyclecreate.formats import format_matchings
 from cyclecreate.search import (
     CompatibilityGraph,
     _clique_search,
-    _full_orbit,
     _lex_least_clique,
     build_compatibility_graph,
     enumerate_ham_paths,
@@ -37,7 +37,13 @@ from cyclecreate.search import (
     max_triangle_creating_paths,
     perm_to_matching,
 )
-from oracles import max_clique_oracle, perfect_matchings_oracle, reversing_oracle
+from oracles import (
+    group_families,
+    max_clique_oracle,
+    naive_family_report,
+    perfect_matchings_oracle,
+    reversing_oracle,
+)
 
 
 def complete_graph(n):
@@ -276,7 +282,7 @@ def test_rooted_route_equals_unrooted_search_on_full_orbits():
         orders = [objects] + [rng.sample(objects, len(objects)) for _ in range(3)]
         for order in orders:
             cg = build_compatibility_graph(order, relation)
-            assert _full_orbit(cg.objects), (target, n, relation)
+            assert _orbit_tree(cg.objects) is not None, (target, n, relation)
             clique = _lex_least_clique(cg.adjacency)
             independent = _lex_least_clique(complement(cg.adjacency))
             assert max_clique(cg) == (len(clique), clique), (target, n, relation)
@@ -327,7 +333,7 @@ def test_orbit_build_equals_pairwise_oracle():
                                  ("RP", 6, ("reversing",))):
         cases += [(ENUMERATE[target](n), relation) for relation in relations]
     for objects, relation in cases:
-        assert _full_orbit(tuple(objects)), (len(objects), relation)
+        assert _orbit_tree(objects) is not None, (len(objects), relation)
         cg = build_compatibility_graph(objects, relation)
         assert cg.adjacency == pairwise_oracle(objects, relation), (len(objects), relation, objects[0])
 
@@ -364,30 +370,43 @@ def test_orbit_build_relates_object_0_to_each_other_object_only(monkeypatch, cap
         with relation_calls(monkeypatch) as calls:
             build_compatibility_graph(objects, relation)
         assert len(calls) == len(objects) * (len(objects) - 1) // 2, (objects, relation)
-    # the 24 permutations of 1..4 are an orbit; their 24 matchings on 1..8 are
-    # not, so the creating side still checks the reversing side pair by pair
+    # the 24 permutations of 1..4 are an orbit, and so are their 24 matchings
+    # on 1..8, under the relabellings of 5..8
     with relation_calls(monkeypatch) as calls:
         assert cli.main(["check", "claim7", "--m", "4"]) == 0
     assert capsys.readouterr().out == "ok 576 ordered pairs checked\n"
     kernels = [kernel for kernel, _, _ in calls]
-    assert (kernels.count("reversing"), kernels.count("creating")) == (23, 276)
+    assert (kernels.count("reversing"), kernels.count("creating")) == (23, 23)
 
 
 def test_orbit_build_errors_come_from_row_0_at_the_pairwise_scan_pair(monkeypatch):
-    # six distinct permutations, as many as 3!, that mix m = 3 and m = 2
-    family = [Permutation(p) for p in ((1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (1, 2), (2, 3, 1))]
-    assert _full_orbit(tuple(family))
-    # the pairwise scan's calls up to the first pair of different sizes
-    scan = []
-    for a, b in itertools.combinations(family, 2):
-        scan.append(("reversing", a, b))
-        if a.m != b.m:
-            break
-    with relation_calls(monkeypatch) as calls:
-        with pytest.raises(ValueError) as raised:
-            build_compatibility_graph(family, "reversing")
-    assert str(raised.value) == "permutations act on different sets (m=3 vs m=2)"
-    assert calls == scan == [("reversing", family[0], family[1]), ("reversing", family[0], family[2])]
+    # permutations that mix m = 3 and m = 2, either size first; the
+    # relabelling of values that takes member 0 to member 1 cannot map the
+    # second family's permutations of 1..3
+    mixed = [Permutation(p) for p in ((1, 2, 3), (1, 3, 2), (2, 1), (2, 1, 3), (1, 2), (2, 3, 1))]
+    for family in (mixed, [mixed[4], mixed[2], mixed[0], mixed[1], mixed[3], mixed[5]]):
+        # the pairwise scan's calls up to the first pair of different sizes
+        scan = []
+        for a, b in itertools.combinations(family, 2):
+            scan.append(("reversing", a, b))
+            if a.m != b.m:
+                break
+        with relation_calls(monkeypatch) as calls:
+            with pytest.raises(ValueError) as raised:
+                build_compatibility_graph(family, "reversing")
+        sizes = (family[0].m, 5 - family[0].m)
+        assert str(raised.value) == "permutations act on different sets (m=%d vs m=%d)" % sizes
+        assert calls == scan == [("reversing", family[0], family[1]), ("reversing", family[0], family[2])]
+
+
+def test_orbit_build_asks_for_the_tree_once_row_0_is_done(monkeypatch):
+    for target, n, relation in FULL_ORBITS:
+        objects = ENUMERATE[target](n)
+        asked = []
+        with relation_calls(monkeypatch) as calls, monkeypatch.context() as patch:
+            patch.setattr(search, "_orbit_tree", lambda objs: asked.append(len(calls)) or _orbit_tree(objs))
+            build_compatibility_graph(objects, relation)
+        assert asked == [len(objects) - 1], (target, n, relation)
 
 
 def test_value_and_position_actions_preserve_reversing():
@@ -405,10 +424,11 @@ def test_value_and_position_actions_preserve_reversing():
 
 @contextlib.contextmanager
 def never_race(monkeypatch):
-    """Fail the test if a search inside races a certificate: only full orbits may."""
+    """Fail the test if a search inside races a certificate: only families
+    with an orbit tree may."""
 
     def refuse(*args):
-        raise AssertionError("a graph that is not a full orbit raced a certificate")
+        raise AssertionError("a graph of a family with no orbit tree raced a certificate")
 
     with monkeypatch.context() as patch:
         patch.setattr(search, "_raced", refuse)
@@ -416,7 +436,7 @@ def never_race(monkeypatch):
 
 
 def not_full_orbits():
-    """Families that are not full orbits, each with a relation."""
+    """Families that are not full orbits and have no orbit tree, each with a relation."""
     paths = enumerate_ham_paths(4)
     missing = paths[:7] + paths[8:]
     duplicated = paths[:7] + [paths[0]] + paths[8:]
@@ -436,14 +456,25 @@ def not_full_orbits():
     ]
 
 
-def test_orbit_table_sizes_equal_the_enumerations():
-    # the table's count for object 0's ground set, against the enumerators
-    for enumerate_, sizes in ((enumerate_ham_paths, range(2, 8)), (enumerate_perfect_matchings, range(2, 11, 2)),
-                              (enumerate_permutations, range(1, 7))):
+def test_every_full_enumeration_has_a_tree_reaching_every_member():
+    rng = random.Random(41012)
+    for enumerate_, sizes in ((enumerate_ham_paths, range(3, 8)), (enumerate_perfect_matchings, range(4, 11, 2)),
+                              (enumerate_permutations, range(2, 7))):
         for n in sizes:
             objects = enumerate_(n)
-            count, _, _ = search._ORBITS[type(objects[0])]
-            assert count(objects[0]) == len(objects), (enumerate_.__name__, n)
+            for members in (objects, rng.sample(objects, len(objects))):
+                tree = _orbit_tree(members)
+                assert sorted(tree) == list(range(1, len(members))), (enumerate_.__name__, n)
+                # each member is reached from a member reached before it, by a
+                # move that permutes the members
+                order = {0: -1} | {i: at for at, i in enumerate(tree)}
+                for i, (parent, move) in tree.items():
+                    assert move[parent] == i and order[parent] < order[i], (enumerate_.__name__, n, i)
+                for move in {id(move): move for _, move in tree.values()}.values():
+                    assert sorted(move) == list(range(len(members))), (enumerate_.__name__, n)
+    # a single member has none, whatever its kind
+    for objects in (enumerate_ham_paths(2), enumerate_perfect_matchings(2), enumerate_permutations(1)):
+        assert _orbit_tree(objects) is None
 
 
 def recorded_routes(monkeypatch):
@@ -469,7 +500,7 @@ def test_searches_take_the_rooted_route_exactly_on_full_orbits(monkeypatch):
     routes = recorded_routes(monkeypatch)
     for objects, relation, orbit in cases:
         cg = build_compatibility_graph(objects, relation)
-        assert _full_orbit(cg.objects) == orbit, (objects, relation)
+        assert (_orbit_tree(cg.objects) is not None) == orbit, (objects, relation)
         routes.clear()
         max_clique(cg)
         max_independent_set(cg)
@@ -501,7 +532,7 @@ def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
     duplicated = paths[:7] + [paths[0]] + paths[8:]
     for objects, relation in not_full_orbits():
         cg = build_compatibility_graph(objects, relation)
-        assert not _full_orbit(cg.objects), (objects, relation)
+        assert _orbit_tree(cg.objects) is None, (objects, relation)
         expected = max_clique_oracle(complement(cg.adjacency), cg.size)
         with never_race(monkeypatch):
             assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size), (objects, relation)
@@ -601,37 +632,62 @@ def shuffled_orbits():
     )
 
 
-def check_against_oracles(objects, relation):
+def check_against_oracles(objects, relation, routes):
     """The adjacency against the pairwise scan, and both searches (value and
-    lex-least witness) against the subset oracle on it and its complement."""
+    lex-least witness) against the subset oracle on it and its complement,
+    rooted (see recorded_routes) exactly when the objects have an orbit tree.
+    Returns whether they have one."""
     cg = build_compatibility_graph(objects, relation)
     assert cg.adjacency == pairwise_oracle(objects, relation)
+    routes.clear()
     assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size)
     assert max_independent_set(cg) == max_clique_oracle(complement(cg.adjacency), cg.size)
+    rooted = _orbit_tree(objects) is not None
+    assert routes == ([complement(cg.adjacency), cg.adjacency] if rooted else [None, None])
+    return rooted
 
 
 @pytest.mark.usefixtures("hypothesis_home")
-def test_search_on_subsets_matches_the_oracles():
+def test_search_on_subsets_matches_the_oracles(monkeypatch):
+    routes = recorded_routes(monkeypatch)
+
     @fixed
     @given(subsets())
     def check(case):
-        objects, relation = case
-        assert not _full_orbit(tuple(objects))
-        check_against_oracles(objects, relation)
+        check_against_oracles(*case, routes)
 
     check()
 
 
 @pytest.mark.usefixtures("hypothesis_home")
-def test_search_on_shuffled_full_orbits_matches_the_oracles():
+def test_search_on_shuffled_full_orbits_matches_the_oracles(monkeypatch):
+    routes = recorded_routes(monkeypatch)
+
     @fixed
     @given(shuffled_orbits())
     def check(case):
-        objects, relation = case
-        assert _full_orbit(tuple(objects))
-        check_against_oracles(objects, relation)
+        assert check_against_oracles(*case, routes)
 
     check()
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_build_search_and_verify_on_group_families_match_the_oracles(monkeypatch):
+    # orbits that are not full enumerations, and unions of two orbits, under
+    # groups of at most 12 relabellings: at most 12 members and one planted
+    routes, rooted = recorded_routes(monkeypatch), []
+
+    @fixed
+    @given(group_families(("paths", "matchings", "permutations"), 12, 12))
+    def check(case):
+        objects, relation = case
+        rooted.append(check_against_oracles(objects, relation, routes))
+        if relation != "reversing":
+            assert verify_pairwise_creating(objects, relation) == naive_family_report(objects, relation)
+
+    check()
+    # both routes are taken often
+    assert min(rooted.count(True), rooted.count(False)) >= 25, rooted.count(True)
 
 
 # ------------------------------------------------------------
