@@ -28,7 +28,7 @@ _HOME = {
         "graphs": (
             "FamilyReport HamPath LabeledGraph PerfectMatching Permutation bipartition "
             "contains_cycle_of_length enumerate_perfect_matchings_of girth is_creating "
-            "verify_pairwise_creating"
+            "is_reversing verify_pairwise_creating"
         ),
         "reduction": (
             "AssociatedTriple ReducedFamily associated_triple fixed_graph ground_set_reduce "
@@ -37,8 +37,7 @@ _HOME = {
         "search": (
             "CompatibilityGraph build_compatibility_graph enumerate_ham_paths "
             "enumerate_perfect_matchings enumerate_permutations exact_h exact_m exact_rp "
-            "is_reversing max_clique max_independent_set max_triangle_creating_paths "
-            "perm_to_matching"
+            "max_clique max_independent_set max_triangle_creating_paths perm_to_matching"
         ),
     }.items()
     for name in names.split()

@@ -16,7 +16,6 @@ import itertools
 import json
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -63,7 +62,8 @@ def _read(path: str, inputs: dict[str, str]) -> str:
 
 def _write(path: str, text: str, outputs: dict[str, str]) -> None:
     data = text.encode()
-    Path(path).write_bytes(data)
+    with open(path, "wb") as file:
+        file.write(data)
     outputs[path] = _sha256(data)
 
 

@@ -1,10 +1,14 @@
-"""Immutable labeled graphs, exact fixed-length cycle detection, and perfect
-matching enumeration.
+"""Immutable labeled graphs and permutations, exact fixed-length cycle
+detection, the two pair relations, and perfect matching enumeration.
 
 Vertices are 1-based integer labels.  The graphs handled here are tiny
 (dozens of vertices), and every question is decided exactly by exhaustive
 search with pruning, never by sampling or floating point.  All operations are
 pure: the same inputs always give the same answer and the same tie-breaks.
+
+Graphs, paths and matchings relate by creating a cycle of a given length,
+permutations by reversing; _pair_test checks a family for its relation and
+hands out its pair test, to this module and the search module alike.
 
 Relabelling the vertices preserves cycles of every length.  So on a family
 of paths, matchings or permutations that its own relabellings move
@@ -20,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Vertex = int
 
@@ -150,6 +154,18 @@ class Permutation:
         for pos, value in enumerate(self.images, start=1):
             inv[value - 1] = pos
         return tuple(inv)
+
+
+def is_reversing(p1: Permutation, p2: Permutation) -> bool:
+    """True iff positions i < j exist with p1(i) = p2(j) and p1(j) = p2(i)."""
+    if p1.m != p2.m:
+        raise ValueError(f"permutations act on different sets (m={p1.m} vs m={p2.m})")
+    inv2 = p2.inverse
+    for i in range(1, p1.m + 1):
+        j = inv2[p1(i) - 1]
+        if j > i and p1(j) == p2(i):
+            return True
+    return False
 
 
 # ============================================================
@@ -286,39 +302,46 @@ def bipartition(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | No
 
 
 def is_creating(
-    a: LabeledGraph | HamPath | PerfectMatching,
-    b: LabeledGraph | HamPath | PerfectMatching,
-    length: int,
+    a: LabeledGraph | HamPath | PerfectMatching | Permutation,
+    b: LabeledGraph | HamPath | PerfectMatching | Permutation,
+    length: int | str,
 ) -> bool:
-    """True iff the union of a and b contains a cycle on exactly `length` vertices.
+    """True iff the union of a and b contains a cycle on exactly `length`
+    vertices, or with "reversing" iff they reverse (see _pair_test)."""
+    items, related = _pair_test((a, b), length)
+    return related(*items)
 
-    Both arguments must be of the same kind and live on the same ground set.
+
+def _pair_test(members: Sequence, relation: int | str) -> tuple[Sequence, Callable[..., bool]]:
+    """A family's checks for its relation, and the items and pair test that
+    decide it: the permutations themselves with is_reversing, or the members'
+    adjacency masks with the creating kernel.
+
+    Member 0's kind (or, with no members, the relation) picks "reversing" for
+    permutations or a cycle length for the rest.  Then, whatever the family's
+    size, the members must be of one kind and, unless permutations, graphs,
+    paths or matchings on one ground set with a length of at least 3.  Errors
+    name member 0's kind or ground set and the first member that differs.
     """
-    return _creates(*_family_adjacencies((a, b), length), length)
-
-
-def _family_adjacencies(members: Sequence, length: int | None) -> list[tuple[int, ...]]:
-    """The creating relation's checks on a family of any size, and its adjacency masks.
-
-    The members must be of one kind and, unless length is None (permutations),
-    graphs, paths or matchings on one ground set with a cycle length of at
-    least 3, whatever the family's size.  Errors name member 0's kind or
-    ground set and the first one, in member order, that differs from it.
-    """
+    reversing = isinstance(members[0], Permutation) if members else relation == "reversing"
+    if reversing and relation != "reversing":
+        raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
+    if not reversing and not isinstance(relation, int):
+        raise ValueError(f"paths, matchings, and graphs need an integer cycle length, got {relation!r}")
     for m in members:
         if type(m) is not type(members[0]):
             raise TypeError(f"mixed kinds: {type(members[0]).__name__} vs {type(m).__name__}")
-    if length is None:
-        return []
+    if reversing:
+        return members, is_reversing
     if members and not isinstance(members[0], _Graph):
         raise TypeError(f"expected a graph, path, or matching, got {type(members[0]).__name__}")
     adjacencies = [m.adjacency for m in members]
     for adj in adjacencies:
         if len(adj) != len(adjacencies[0]):
             raise ValueError(f"mismatched ground sets (n={len(adjacencies[0]) - 1} vs n={len(adj) - 1})")
-    if length < 3:
-        raise ValueError(f"cycle length must be at least 3, got {length}")
-    return adjacencies
+    if relation < 3:
+        raise ValueError(f"cycle length must be at least 3, got {relation}")
+    return adjacencies, lambda a, b: _creates(a, b, relation)
 
 
 def enumerate_perfect_matchings_of(g: LabeledGraph) -> list[PerfectMatching]:
@@ -354,11 +377,11 @@ def enumerate_perfect_matchings_of(g: LabeledGraph) -> list[PerfectMatching]:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    """Outcome of an all-pairs creating check over one family."""
+    """Outcome of an all-pairs creating (or reversing) check over one family."""
 
     passed: bool
     family_size: int
-    cycle_length: int
+    cycle_length: int | str                  # the relation: "reversing" on permutations
     pair_count: int                          # family_size * (family_size - 1) / 2
     first_violation: tuple[int, int] | None  # 0-based member indices, scan order
 
@@ -458,32 +481,33 @@ def _family_move(index: dict, images: Iterable) -> list[int] | None:
 
 
 def verify_pairwise_creating(
-    family: Iterable[LabeledGraph | HamPath | PerfectMatching],
-    length: int,
+    family: Iterable[LabeledGraph | HamPath | PerfectMatching | Permutation],
+    length: int | str,
 ) -> FamilyReport:
-    """Check that every pair of members creates a cycle on exactly `length` vertices.
+    """Check that every pair of members creates a cycle on exactly `length`
+    vertices, or with "reversing" reverses (see _pair_test).
 
     The scan order is lexicographic over index pairs (i, j) with i < j, and the
     reported violation is the first pair in that order.  An empty or
     single-member family passes with zero pairs.
 
-    Relabelling 1..n maps the union of two members onto the union of their
-    images, so it preserves the relation.  Row 0, the pairs (0, j), is
-    scanned first, and its first failing pair is the first violation.  If
-    all of it creates and the relabellings that map the family onto itself
-    take member 0 to every member (see _orbit_tree), as on a lower-bound
-    family, any pair (i, j) has the answer of some pair (0, j'), so every
-    pair creates; otherwise rows 1.. are scanned too.
+    Relabelling the ground set preserves the relation (see _ORBIT_KINDS).
+    Row 0, the pairs (0, j), is scanned first, and its first failing pair is
+    the first violation.  If all of it is related and the relabellings that
+    map the family onto itself take member 0 to every member (see
+    _orbit_tree), as on a lower-bound family, any pair (i, j) has the answer
+    of some pair (0, j'), so every pair is related; otherwise rows 1.. are
+    scanned too.
     """
     members = list(family)
     size = len(members)
     pair_count = size * (size - 1) // 2
-    adjacencies = _family_adjacencies(members, length)
+    items, related = _pair_test(members, length)
 
-    for i, adj_i in enumerate(adjacencies):
+    for i, a in enumerate(items):
         if i == 1 and _orbit_tree(members) is not None:
             break
         for j in range(i + 1, size):
-            if not _creates(adj_i, adjacencies[j], length):
+            if not related(a, items[j]):
                 return FamilyReport(False, size, length, pair_count, (i, j))
     return FamilyReport(True, size, length, pair_count, None)

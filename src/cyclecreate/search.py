@@ -6,8 +6,9 @@ bitmasks.  One decision search, branch and bound with greedy coloring bounds,
 answers "is there a clique of size t?".  The clique number is found by raising
 t from 1 until the search refuses or a certificate (below) shows that it
 would, and the lexicographically least optimal witness is then built vertex by
-vertex with the same search.  Witnesses are re-verified against the defining
-relation before being returned.
+vertex with the same search.  The graph is built, and each witness is
+re-verified before being returned, with the one pair test that
+graphs._pair_test hands out for the objects' relation.
 
 When the objects are a family that its relabellings move transitively (see
 graphs._orbit_tree), as every full enumeration (every Hamiltonian path,
@@ -35,16 +36,15 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graphs import (
     HamPath,
     LabeledGraph,
     PerfectMatching,
     Permutation,
-    _creates,
-    _family_adjacencies,
     _orbit_tree,
+    _pair_test,
     enumerate_perfect_matchings_of,
 )
 
@@ -94,18 +94,6 @@ def enumerate_permutations(m: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
 
 
-def is_reversing(p1: Permutation, p2: Permutation) -> bool:
-    """True iff positions i < j exist with p1(i) = p2(j) and p1(j) = p2(i)."""
-    if p1.m != p2.m:
-        raise ValueError(f"permutations act on different sets (m={p1.m} vs m={p2.m})")
-    inv2 = p2.inverse
-    for i in range(1, p1.m + 1):
-        j = inv2[p1(i) - 1]
-        if j > i and p1(j) == p2(i):
-            return True
-    return False
-
-
 def perm_to_matching(p: Permutation) -> PerfectMatching:
     """Encode a permutation of 1..m as the matching {(i, p(i) + m)} on 1..2m."""
     return PerfectMatching((i, p(i) + p.m) for i in range(1, p.m + 1))
@@ -123,9 +111,10 @@ class CompatibilityGraph:
     them, and refuses to set them.
 
     Objects must be of one kind: paths, matchings, or graphs together with an
-    integer cycle length, or permutations (or none) with "reversing".  Row 0
-    is computed first, so permutations of two sizes raise at the first pair
-    of them that a pairwise scan in index order meets.  On a family with an
+    integer cycle length, or permutations (or none) with "reversing" (see
+    graphs._pair_test, which also gives the pair test).  Row 0 is computed
+    first, so permutations of two sizes raise at the first pair of them
+    that a pairwise scan in index order meets.  On a family with an
     orbit tree (see graphs._orbit_tree) only object 0 is related to each
     other object, and every other row is its parent's row relabelled (see
     _map_rows); any other family is related pair by pair.
@@ -185,20 +174,6 @@ def _map_rows(adjacency: list[int], tree: dict) -> None:
                 places[size - 1 - image] = size - 1 - j
             getters[id(move)] = itemgetter(*places)
         adjacency[i] = int("".join(getters[id(move)](f"{adjacency[parent]:0{size}b}")), 2)
-
-
-def _pair_test(objs: Sequence, relation: int | str) -> tuple[Sequence, Callable[..., bool]]:
-    """The relation's checks on a family, and the items and pair test that
-    decide it: the permutations themselves with is_reversing, or the members'
-    adjacency masks with the creating kernel."""
-    if isinstance(objs[0], Permutation) if objs else relation == "reversing":
-        if relation != "reversing":
-            raise ValueError(f"permutations only support the 'reversing' relation, got {relation!r}")
-        _family_adjacencies(objs, None)
-        return objs, is_reversing
-    if not isinstance(relation, int):
-        raise ValueError(f"paths, matchings, and graphs need an integer cycle length, got {relation!r}")
-    return _family_adjacencies(objs, relation), lambda a, b: _creates(a, b, relation)
 
 
 def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -343,8 +318,9 @@ def _max_set(cg: CompatibilityGraph, related: bool) -> tuple[int, tuple[int, ...
     A family with an orbit tree (see graphs._orbit_tree), such as a full
     enumeration in any order, is searched from object 0, with the other
     side's cliques as certificates that end the search early (see
-    _lex_least_clique); any other family is searched in full.  The witness is re-verified pair by pair with the relation's own
-    pair test before being returned.
+    _lex_least_clique); any other family is searched in full.  The witness
+    is re-verified pair by pair with the relation's own pair test (see
+    graphs._pair_test) before being returned.
     """
     full = (1 << cg.size) - 1
     complement = tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(cg.adjacency))

@@ -180,18 +180,25 @@ def matching_union_components_oracle(
     return components
 
 
-def naive_family_report(family, length) -> FamilyReport:
-    """The all-pairs creating check, every pair decided by the subset oracle."""
+def naive_family_report(family, relation) -> FamilyReport:
+    """The all-pairs check, every pair decided by an oracle: reversing_oracle
+    with "reversing", and otherwise the subset oracle on the pair's union."""
+
+    def related(a, b):
+        if relation == "reversing":
+            return reversing_oracle(a, b)
+        return cycle_exists_oracle(edge_union(a, b), relation)
+
     first = next(
         (
             (i, j)
             for i, j in itertools.combinations(range(len(family)), 2)
-            if not cycle_exists_oracle(edge_union(family[i], family[j]), length)
+            if not related(family[i], family[j])
         ),
         None,
     )
     size = len(family)
-    return FamilyReport(first is None, size, length, size * (size - 1) // 2, first)
+    return FamilyReport(first is None, size, relation, size * (size - 1) // 2, first)
 
 
 def group_of(moves, cap):

@@ -79,7 +79,8 @@ USED_BY = {
     "verify_fixed_edges_unused": "check claim4",
 }
 
-# runs `python -m cyclecreate ARGV...`, then prints the modules loaded by then
+# runs `python -m cyclecreate ARGV...`, then prints the modules loaded by then;
+# it is started with -S, so no site hook (a .pth file) loads modules of its own
 PROBE = """
 import json, runpy, sys
 sys.argv = ["cyclecreate", *sys.argv[1:]]
@@ -104,7 +105,7 @@ def test_each_command_imports_only_the_modules_it_runs(command, workdir):
     argv, expected = COMMANDS[command]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv.split()], capture_output=True, text=True, env=env
+        [sys.executable, "-S", "-c", PROBE, *argv.split()], capture_output=True, text=True, env=env
     )
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["code"] == 0, done.stderr
@@ -115,6 +116,9 @@ def test_each_command_imports_only_the_modules_it_runs(command, workdir):
         name.partition(".")[2] for name in probe["modules"] if name.startswith("cyclecreate.")
     }
     assert loaded - {"__main__"} == {"cli"} | expected
+    # files are written as they are read, through open(): pathlib alone costs
+    # milliseconds of import on a cold start
+    assert "pathlib" not in probe["modules"]
     if command == "bounds" or command.startswith("search"):
         assert "hashlib" not in probe["modules"]
     if command == "verify creating":

@@ -86,10 +86,15 @@ def test_private_names_are_imported_only_from_graphs():
                 continue
             private.update((path.stem, imported, name) for name in names if name.startswith("_"))
     assert private >= {
-        ("search", "graphs", "_creates"),
-        ("search", "graphs", "_family_adjacencies"),
+        ("search", "graphs", "_orbit_tree"),
+        ("search", "graphs", "_pair_test"),
         ("reduction", "graphs", "_has_cycle_through"),
     }
+    # graphs alone picks a family's relation and its kernel: search takes
+    # the pair test from _pair_test and binds neither kernel itself
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    taken = {name for _, names in imported_modules(tree) for name in names}
+    assert not taken & {"_creates", "is_reversing"}, taken
     assert {imported for _, imported, _ in private} == {"graphs"}, private
 
 

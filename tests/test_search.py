@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclecreate.graphs import (
+    FamilyReport,
     HamPath,
     LabeledGraph,
     PerfectMatching,
@@ -16,9 +17,10 @@ from cyclecreate.graphs import (
     _orbit_tree,
     enumerate_perfect_matchings_of,
     is_creating,
+    is_reversing,
     verify_pairwise_creating,
 )
-from cyclecreate import cli, search
+from cyclecreate import cli, graphs, search
 from cyclecreate.formats import format_matchings
 from cyclecreate.search import (
     CompatibilityGraph,
@@ -31,7 +33,6 @@ from cyclecreate.search import (
     exact_h,
     exact_m,
     exact_rp,
-    is_reversing,
     max_clique,
     max_independent_set,
     max_triangle_creating_paths,
@@ -183,6 +184,8 @@ def test_family_errors_match_is_creating():
     p4 = HamPath((1, 2, 3, 4))
     m4 = PerfectMatching([(1, 2), (3, 4)])
     m6 = PerfectMatching([(1, 2), (3, 4), (5, 6)])
+    r1, r2, r3 = Permutation((1, 2, 3)), Permutation((2, 1, 3)), Permutation((2, 3, 1))
+    need_length = "paths, matchings, and graphs need an integer cycle length, got 'reversing'"
     cases = [
         ([p4, m4], 4, TypeError, "mixed kinds: HamPath vs PerfectMatching"),
         ([m4, p4], 4, TypeError, "mixed kinds: PerfectMatching vs HamPath"),
@@ -198,18 +201,36 @@ def test_family_errors_match_is_creating():
         ([m4], 2, ValueError, "cycle length must be at least 3, got 2"),
         ([p4, m4], 2, TypeError, "mixed kinds: HamPath vs PerfectMatching"),
         ([p3, p4], 2, ValueError, "mismatched ground sets (n=3 vs n=4)"),
+        # member 0's kind picks the relation, which is checked before the kinds
+        ([r1, r2], 4, ValueError, "permutations only support the 'reversing' relation, got 4"),
+        ([r1, p4], 4, ValueError, "permutations only support the 'reversing' relation, got 4"),
+        ([r1, p4], "reversing", TypeError, "mixed kinds: Permutation vs HamPath"),
+        ([Permutation((1, 2)), HamPath((1, 2))], "reversing", TypeError, "mixed kinds: Permutation vs HamPath"),
+        ([p4, HamPath((1, 3, 2, 4))], "reversing", ValueError, need_length),
+        ([p4, r1], "reversing", ValueError, need_length),
+        ([m4, m4, m6], "reversing", ValueError, need_length),
+        # no member names a kind, so an empty family takes either relation
+        ([], "reversing", None, None),
+        ([], 4, None, None),
+        ([r1, r2], "reversing", None, None),
+        ([r1, r2, r3], "reversing", None, None),
     ]
-    for family, length, error, message in cases:
+    for family, relation, error, message in cases:
         calls = [verify_pairwise_creating, build_compatibility_graph]
         if len(family) == 2:
-            calls.append(lambda pair, length: is_creating(*pair, length))
+            calls.append(lambda pair, relation: is_creating(*pair, relation))
         for call in calls:
+            if error is None:
+                call(family, relation)
+                continue
             with pytest.raises(error) as raised:
-                call(family, length)
-            assert str(raised.value) == message, (call, family)
-    # permutations are checked for one kind too
-    with pytest.raises(TypeError, match="^mixed kinds: Permutation vs HamPath$"):
-        build_compatibility_graph([Permutation((1, 2)), HamPath((1, 2))], "reversing")
+                call(family, relation)
+            assert str(raised.value) == message, (call, family, relation)
+    # where all of them accept permutations, all of them decide reversing
+    assert is_creating(r1, r2, "reversing") and not is_creating(r1, r3, "reversing")
+    assert verify_pairwise_creating([r1, r2], "reversing") == FamilyReport(True, 2, "reversing", 1, None)
+    assert verify_pairwise_creating([r1, r2, r3], "reversing") == FamilyReport(False, 3, "reversing", 3, (0, 2))
+    assert build_compatibility_graph([r1, r2, r3], "reversing").adjacency == (0b010, 0b101, 0b010)
 
 
 # ------------------------------------------------------------
@@ -342,7 +363,7 @@ def test_orbit_build_equals_pairwise_oracle():
 def relation_calls(monkeypatch):
     """The relation's calls inside, as (kernel, first argument, second argument)."""
     calls = []
-    real_creates, real_reversing = search._creates, search.is_reversing
+    real_creates, real_reversing = graphs._creates, graphs.is_reversing
 
     def creates(a, b, length):
         calls.append(("creating", a, b))
@@ -353,8 +374,8 @@ def relation_calls(monkeypatch):
         return real_reversing(p1, p2)
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_creates", creates)
-        patch.setattr(search, "is_reversing", reversing)
+        patch.setattr(graphs, "_creates", creates)
+        patch.setattr(graphs, "is_reversing", reversing)
         yield calls
 
 
@@ -682,8 +703,7 @@ def test_build_search_and_verify_on_group_families_match_the_oracles(monkeypatch
     def check(case):
         objects, relation = case
         rooted.append(check_against_oracles(objects, relation, routes))
-        if relation != "reversing":
-            assert verify_pairwise_creating(objects, relation) == naive_family_report(objects, relation)
+        assert verify_pairwise_creating(objects, relation) == naive_family_report(objects, relation)
 
     check()
     # both routes are taken often
