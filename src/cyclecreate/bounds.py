@@ -6,8 +6,8 @@ functions here return the exponents e as fractions.Fraction, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # Orders with a known optimally dense construction (generalized polygons).
 SPECIAL_DEGREE_ORDERS = frozenset({2, 3, 5})
@@ -47,8 +47,7 @@ def path_upper_exponent(k: int) -> Fraction:
     return 1 - degree_exponent(k) / k
 
 
-@dataclass(frozen=True)
-class ExponentRow:
+class ExponentRow(NamedTuple):
     """All exponents for one value of k, cycle length 2k."""
 
     k: int

@@ -256,101 +256,113 @@ def _rational(value: Fraction, decimal: bool) -> str:
 # ============================================================
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("construct", "verify", "reduce", "search", "count", "check", "bounds")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or only the subtree of `command` if it names one.
+    The usage line names every command either way, so help and usage errors
+    read the same."""
     parser = argparse.ArgumentParser(
         prog="cyclecreate",
         description="Exact toolkit for families of paths and matchings whose "
         "pairwise unions create fixed-length cycles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    alone = command in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS) if alone else None
+    )
 
-    construct = sub.add_parser("construct", help="write deterministic families and graphs")
-    construct_sub = construct.add_subparsers(dest="subcommand", required=True)
-    lower = construct_sub.add_parser(
-        "lower-bound", help="slot-permuted path family of size ((n-1)/k)!"
-    )
-    lower.add_argument("--n", type=int, required=True, help="vertex count, congruent to 1 mod k")
-    lower.add_argument("--k", type=int, required=True, help="half the created cycle length")
-    lower.add_argument("--out", required=True, help="output paths file")
-    lower.set_defaults(handler=_cmd_construct_lower_bound)
-    plane = construct_sub.add_parser(
-        "plane", help="projective plane incidence graph of prime order"
-    )
-    group = plane.add_mutually_exclusive_group(required=True)
-    group.add_argument("--q", type=int, help="plane order (prime)")
-    group.add_argument(
-        "--target-n", type=int, dest="target_n", help="pick the largest order fitting this many vertices"
-    )
-    plane.add_argument("--out", required=True, help="output graph file")
-    plane.set_defaults(handler=_cmd_construct_plane)
+    def add(name: str, summary: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=summary) if not alone or name == command else None
 
-    verify = sub.add_parser("verify", help="check families and graphs")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    creating = verify_sub.add_parser("creating", help="all pairs create a cycle of length 2k")
-    creating.add_argument("--k", type=int, required=True, help="half the created cycle length")
-    creating.add_argument("--kind", choices=("paths", "matchings"), required=True)
-    creating.add_argument("--in", dest="infile", required=True, help="input family file")
-    creating.set_defaults(handler=_cmd_verify_creating)
-    c2kfree = verify_sub.add_parser(
-        "c2kfree", help="bipartite, regular, and free of cycles up to length 2k"
-    )
-    c2kfree.add_argument("--k", type=int, required=True, help="half the forbidden cycle length")
-    c2kfree.add_argument("--in", dest="infile", required=True, help="input graph file")
-    c2kfree.set_defaults(handler=_cmd_verify_c2kfree)
+    if construct := add("construct", "write deterministic families and graphs"):
+        construct_sub = construct.add_subparsers(dest="subcommand", required=True)
+        lower = construct_sub.add_parser(
+            "lower-bound", help="slot-permuted path family of size ((n-1)/k)!"
+        )
+        lower.add_argument("--n", type=int, required=True, help="vertex count, congruent to 1 mod k")
+        lower.add_argument("--k", type=int, required=True, help="half the created cycle length")
+        lower.add_argument("--out", required=True, help="output paths file")
+        lower.set_defaults(handler=_cmd_construct_lower_bound)
+        plane = construct_sub.add_parser(
+            "plane", help="projective plane incidence graph of prime order"
+        )
+        group = plane.add_mutually_exclusive_group(required=True)
+        group.add_argument("--q", type=int, help="plane order (prime)")
+        group.add_argument(
+            "--target-n", type=int, dest="target_n", help="pick the largest order fitting this many vertices"
+        )
+        plane.add_argument("--out", required=True, help="output graph file")
+        plane.set_defaults(handler=_cmd_construct_plane)
 
-    reduce_cmd = sub.add_parser("reduce", help="shrink families while keeping the pairwise property")
-    reduce_sub = reduce_cmd.add_subparsers(dest="subcommand", required=True)
-    paths_to = reduce_sub.add_parser(
-        "paths-to-matchings", help="strip a path family sharing blocks down to matchings"
-    )
-    paths_to.add_argument("--k", type=int, required=True, help="half the created cycle length")
-    paths_to.add_argument("--in", dest="infile", required=True, help="input paths file")
-    paths_to.add_argument("--out", required=True, help="output matchings file")
-    paths_to.set_defaults(handler=_cmd_reduce_paths)
-    shrink = reduce_sub.add_parser("shrink", help="delete vertex 1 and its most common partner")
-    shrink.add_argument("--in", dest="infile", required=True, help="input matchings file")
-    shrink.add_argument("--out", required=True, help="output matchings file")
-    shrink.set_defaults(handler=_cmd_reduce_shrink)
+    if verify := add("verify", "check families and graphs"):
+        verify_sub = verify.add_subparsers(dest="subcommand", required=True)
+        creating = verify_sub.add_parser("creating", help="all pairs create a cycle of length 2k")
+        creating.add_argument("--k", type=int, required=True, help="half the created cycle length")
+        creating.add_argument("--kind", choices=("paths", "matchings"), required=True)
+        creating.add_argument("--in", dest="infile", required=True, help="input family file")
+        creating.set_defaults(handler=_cmd_verify_creating)
+        c2kfree = verify_sub.add_parser(
+            "c2kfree", help="bipartite, regular, and free of cycles up to length 2k"
+        )
+        c2kfree.add_argument("--k", type=int, required=True, help="half the forbidden cycle length")
+        c2kfree.add_argument("--in", dest="infile", required=True, help="input graph file")
+        c2kfree.set_defaults(handler=_cmd_verify_c2kfree)
 
-    search = sub.add_parser("search", help="exact extremal family sizes by clique search")
-    search.add_argument("target", choices=("H", "M", "RP"), help="paths, matchings, or permutations")
-    search.add_argument("--n", type=int, required=True, help="ground set size")
-    search.add_argument("--k", type=int, help="exact cycle length for H and M")
-    search.set_defaults(handler=_cmd_search)
+    if reduce_cmd := add("reduce", "shrink families while keeping the pairwise property"):
+        reduce_sub = reduce_cmd.add_subparsers(dest="subcommand", required=True)
+        paths_to = reduce_sub.add_parser(
+            "paths-to-matchings", help="strip a path family sharing blocks down to matchings"
+        )
+        paths_to.add_argument("--k", type=int, required=True, help="half the created cycle length")
+        paths_to.add_argument("--in", dest="infile", required=True, help="input paths file")
+        paths_to.add_argument("--out", required=True, help="output matchings file")
+        paths_to.set_defaults(handler=_cmd_reduce_paths)
+        shrink = reduce_sub.add_parser("shrink", help="delete vertex 1 and its most common partner")
+        shrink.add_argument("--in", dest="infile", required=True, help="input matchings file")
+        shrink.add_argument("--out", required=True, help="output matchings file")
+        shrink.set_defaults(handler=_cmd_reduce_shrink)
 
-    count = sub.add_parser("count", help="exact counts")
-    count_sub = count.add_subparsers(dest="subcommand", required=True)
-    matchings_cmd = count_sub.add_parser("matchings", help="perfect matchings of a bipartite graph")
-    matchings_cmd.add_argument("--in", dest="infile", required=True, help="input graph file")
-    matchings_cmd.set_defaults(handler=_cmd_count_matchings)
-    permanent_cmd = count_sub.add_parser("permanent", help="permanent of an integer matrix")
-    permanent_cmd.add_argument("--in", dest="infile", required=True, help="input matrix file")
-    permanent_cmd.set_defaults(handler=_cmd_count_permanent)
+    if search := add("search", "exact extremal family sizes by clique search"):
+        search.add_argument("target", choices=("H", "M", "RP"), help="paths, matchings, or permutations")
+        search.add_argument("--n", type=int, required=True, help="ground set size")
+        search.add_argument("--k", type=int, help="exact cycle length for H and M")
+        search.set_defaults(handler=_cmd_search)
 
-    check = sub.add_parser("check", help="verify the structural facts behind the pipeline")
-    check_sub = check.add_subparsers(dest="subcommand", required=True)
-    lemma6 = check_sub.add_parser(
-        "lemma6", help="matching count of a regular bipartite graph meets r^m * m!/m^m"
-    )
-    lemma6.add_argument("--in", dest="infile", required=True, help="input graph file")
-    lemma6.set_defaults(handler=_cmd_check_lemma6)
-    claim4 = check_sub.add_parser(
-        "claim4", help="cycles of length 2k between triple-sharing paths avoid the shared blocks"
-    )
-    claim4.add_argument("--k", type=int, required=True, help="half the created cycle length")
-    claim4.add_argument("--in", dest="infile", required=True, help="input paths file")
-    claim4.set_defaults(handler=_cmd_check_claim4)
-    claim7 = check_sub.add_parser(
-        "claim7", help="reversing permutations match 4-cycle creating matchings"
-    )
-    claim7.add_argument("--m", type=int, required=True, help="permutation size (at most 6)")
-    claim7.set_defaults(handler=_cmd_check_claim7)
+    if count := add("count", "exact counts"):
+        count_sub = count.add_subparsers(dest="subcommand", required=True)
+        matchings_cmd = count_sub.add_parser("matchings", help="perfect matchings of a bipartite graph")
+        matchings_cmd.add_argument("--in", dest="infile", required=True, help="input graph file")
+        matchings_cmd.set_defaults(handler=_cmd_count_matchings)
+        permanent_cmd = count_sub.add_parser("permanent", help="permanent of an integer matrix")
+        permanent_cmd.add_argument("--in", dest="infile", required=True, help="input matrix file")
+        permanent_cmd.set_defaults(handler=_cmd_count_permanent)
 
-    bounds_cmd = sub.add_parser("bounds", help="exact rational growth exponents")
-    bounds_cmd.add_argument("--k", type=int, required=True, help="half the cycle length")
-    bounds_cmd.add_argument("--kmax", type=int, help="print rows for k..kmax")
-    bounds_cmd.add_argument("--decimal", action="store_true", help="print decimal approximations")
-    bounds_cmd.set_defaults(handler=_cmd_bounds)
+    if check := add("check", "verify the structural facts behind the pipeline"):
+        check_sub = check.add_subparsers(dest="subcommand", required=True)
+        lemma6 = check_sub.add_parser(
+            "lemma6", help="matching count of a regular bipartite graph meets r^m * m!/m^m"
+        )
+        lemma6.add_argument("--in", dest="infile", required=True, help="input graph file")
+        lemma6.set_defaults(handler=_cmd_check_lemma6)
+        claim4 = check_sub.add_parser(
+            "claim4", help="cycles of length 2k between triple-sharing paths avoid the shared blocks"
+        )
+        claim4.add_argument("--k", type=int, required=True, help="half the created cycle length")
+        claim4.add_argument("--in", dest="infile", required=True, help="input paths file")
+        claim4.set_defaults(handler=_cmd_check_claim4)
+        claim7 = check_sub.add_parser(
+            "claim7", help="reversing permutations match 4-cycle creating matchings"
+        )
+        claim7.add_argument("--m", type=int, required=True, help="permutation size (at most 6)")
+        claim7.set_defaults(handler=_cmd_check_claim7)
+
+    if bounds_cmd := add("bounds", "exact rational growth exponents"):
+        bounds_cmd.add_argument("--k", type=int, required=True, help="half the cycle length")
+        bounds_cmd.add_argument("--kmax", type=int, help="print rows for k..kmax")
+        bounds_cmd.add_argument("--decimal", action="store_true", help="print decimal approximations")
+        bounds_cmd.set_defaults(handler=_cmd_bounds)
 
     return parser
 
@@ -363,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs: dict[str, str] = {}
     outputs: dict[str, str] = {}
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         # argparse would read the value of an unknown leading option as the command
         if argv and argv[0].startswith("-") and argv[0] != "-h" and not "--help".startswith(argv[0]):

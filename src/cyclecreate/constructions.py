@@ -6,8 +6,8 @@ matching families of hosts that pass it."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, isqrt
+from typing import NamedTuple
 
 from .graphs import (
     MAX_VERTICES,
@@ -73,8 +73,7 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PlaneIncidence:
+class PlaneIncidence(NamedTuple):
     """Point-line incidence graph of the projective plane of prime order q."""
 
     q: int
@@ -130,8 +129,7 @@ def choose_plane_order(n_target: int) -> tuple[int, int]:
     raise AssertionError("unreachable: q = 2 always fits once n_target >= 14")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the bipartite + regular + girth screen."""
 
     k: int

@@ -7,13 +7,12 @@ entries are rejected outright so no result is ever approximate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import LabeledGraph, bipartition
+from .graphs import LabeledGraph, _Value, bipartition
 
 Entry = int | Fraction
 # The cap on the input's m, checked before any sparse line is removed; Glynn's
@@ -21,10 +20,10 @@ Entry = int | Fraction
 MAX_PERMANENT_SIZE = 26
 
 
-@dataclass(frozen=True, init=False)
-class BiadjacencyMatrix:
+class BiadjacencyMatrix(_Value):
     """Square matrix with exact entries: ints or Fractions, never floats."""
 
+    _fields = ("m", "rows")
     m: int
     rows: tuple[tuple[Entry, ...], ...]
 
@@ -197,8 +196,7 @@ def van_der_waerden_bound(m: int) -> Fraction:
     return Fraction(factorial(m), m ** m)
 
 
-@dataclass(frozen=True)
-class MatchingBoundReport:
+class MatchingBoundReport(NamedTuple):
     """Matching count of a regular bipartite graph against r^m * m!/m^m."""
 
     half_size: int

@@ -21,10 +21,10 @@ the compatibility graphs and searches of the search module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Vertex = int
 
@@ -45,7 +45,37 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 # ============================================================
 
 
-class _Graph:
+class _Value:
+    """What the value types share, over the fields that a subclass names in
+    _fields: equality with its own type only, a hash, the repr
+    Name(field=value, ...), and no assignment.  Constructors set the fields
+    with object.__setattr__; cached properties live outside them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields) if cls._fields else None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class _Graph(_Value):
     """What graphs, paths and matchings share: a graph on 1..n given by `n` and `edges`."""
 
     @cached_property
@@ -62,10 +92,10 @@ class _Graph:
         return tuple(mask.bit_count() for mask in self.adjacency[1:])
 
 
-@dataclass(frozen=True, init=False)
 class LabeledGraph(_Graph):
     """Simple undirected graph on vertex set 1..n (no loops, no multi-edges)."""
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 
@@ -80,7 +110,6 @@ class LabeledGraph(_Graph):
         object.__setattr__(self, "edges", normalized)
 
 
-@dataclass(frozen=True, init=False)
 class HamPath(_Graph):
     """Hamiltonian path on 1..n stored as a vertex order.
 
@@ -88,6 +117,7 @@ class HamPath(_Graph):
     sequence and its reversal construct equal objects.
     """
 
+    _fields = ("order",)
     order: tuple[int, ...]
 
     def __init__(self, order: Iterable[int]):
@@ -111,10 +141,10 @@ class HamPath(_Graph):
         )
 
 
-@dataclass(frozen=True, init=False)
 class PerfectMatching(_Graph):
     """Partition of 1..n (n even) into n/2 disjoint pairs."""
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 
@@ -128,10 +158,10 @@ class PerfectMatching(_Graph):
         object.__setattr__(self, "edges", normalized)
 
 
-@dataclass(frozen=True, init=False)
-class Permutation:
+class Permutation(_Value):
     """Bijection on 1..m stored as its image tuple: images[i-1] is the value at i."""
 
+    _fields = ("images",)
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
@@ -375,8 +405,7 @@ def enumerate_perfect_matchings_of(g: LabeledGraph) -> list[PerfectMatching]:
     return out
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """Outcome of an all-pairs creating (or reversing) check over one family."""
 
     passed: bool
@@ -410,13 +439,24 @@ def _permutation_images(first: tuple, target: tuple, perms: Iterable[tuple]) -> 
     return (tuple(map(tau, images)) for images in perms)
 
 
-# Per kind, for _orbit_tree: a member's raw key, the keys that member 0's key
-# may be taken to on the way to a member's, and the images of raw keys.
-# Relabelling 1..n preserves creating, and relabelling values reversing.
+def _matching_fixers(edges: tuple) -> tuple[tuple, ...]:
+    """Sorted edge tuple `edges` with a swap inside pair 0, with pairs 0 and 1
+    swapped, and with the pairs cycled: as targets of the relabellings that
+    fix the matching, they generate all 2^m m! of them."""
+    (a, b), *rest = edges
+    return ((b, a), *rest), (*rest[:1], (a, b), *rest[1:]), (*rest, (a, b))
+
+
+# Per kind, for _orbit_tree and _root_orbits: a member's raw key, the keys
+# that member 0's key may be taken to on the way to a member's, those that
+# fix member 0, and the images of raw keys.  Relabelling 1..n preserves
+# creating, and relabelling values reversing.
 _ORBIT_KINDS = {
-    HamPath: (lambda path: path.order, lambda order: (order, order[::-1]), _path_images),
-    PerfectMatching: (lambda m: tuple(sorted(m.edges)), lambda edges: (edges,), _matching_images),
-    Permutation: (lambda perm: perm.images, lambda images: (images,), _permutation_images),
+    HamPath: (lambda path: path.order, lambda order: (order, order[::-1]), lambda order: (order[::-1],),
+              _path_images),
+    PerfectMatching: (lambda m: tuple(sorted(m.edges)), lambda edges: (edges,), _matching_fixers,
+                      _matching_images),
+    Permutation: (lambda perm: perm.images, lambda images: (images,), lambda images: (), _permutation_images),
 }
 
 
@@ -444,7 +484,7 @@ def _orbit_tree(members: Sequence) -> dict[int, tuple[int, list[int]]] | None:
     kind = _ORBIT_KINDS.get(type(members[0])) if len(members) > 1 else None
     if kind is None:
         return None
-    key, targets, images = kind
+    key, targets, _, images = kind
     keys = [key(member) for member in members]
     index = {k: i for i, k in enumerate(keys)}
     if len(index) < len(keys):
@@ -468,6 +508,36 @@ def _orbit_tree(members: Sequence) -> dict[int, tuple[int, list[int]]] | None:
                     tree[m[i]] = (i, m)
     del tree[0]
     return tree
+
+
+def _root_orbits(members: Sequence) -> list[int] | None:
+    """Per member, the mask of its orbit under the group that the kept
+    relabellings fixing member 0 generate, or None if none is kept.
+
+    The relabellings are those that take member 0's raw key to a key of its
+    own (see _ORBIT_KINDS), and one is kept only if it maps the family, of
+    one kind in _ORBIT_KINDS with distinct members, onto itself.  Each orbit
+    is one mask, shared by its members.
+    """
+    key, _, fixers, images = _ORBIT_KINDS[type(members[0])]
+    keys = [key(member) for member in members]
+    index = {k: i for i, k in enumerate(keys)}
+    moves = [m for m in (_family_move(index, images(keys[0], t, keys)) for t in fixers(keys[0])) if m]
+    if not moves:
+        return None
+    orbit = [0] * len(members)
+    for start in range(len(members)):
+        if orbit[start]:
+            continue
+        mask, reached = 1 << start, [start]
+        for i in reached:  # the loop also visits what it appends
+            for move in moves:
+                if not mask >> move[i] & 1:
+                    mask |= 1 << move[i]
+                    reached.append(move[i])
+        for i in reached:
+            orbit[i] = mask
+    return orbit
 
 
 def _family_move(index: dict, images: Iterable) -> list[int] | None:

@@ -4,17 +4,15 @@ property.  All steps are deterministic, with documented tie-breaks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Sequence, TypeVar
+from typing import NamedTuple, Sequence, TypeVar
 
 from .graphs import HamPath, LabeledGraph, PerfectMatching, _has_cycle_through
 
 _Key = TypeVar("_Key")
 
 
-@dataclass(frozen=True)
-class AssociatedTriple:
+class AssociatedTriple(NamedTuple):
     """Three vertex-disjoint block classes cut out of a Hamiltonian path.
 
     A path on n = 3tk vertices is cut into n/k blocks of k consecutive
@@ -102,8 +100,7 @@ def pigeonhole_largest_class(
     return [members[i] for i in kept], triples[kept[0]]
 
 
-@dataclass(frozen=True)
-class ReducedFamily:
+class ReducedFamily(NamedTuple):
     """Matchings kept by a reduction, relabeled onto the vertices it keeps."""
 
     matchings: tuple[PerfectMatching, ...]

@@ -27,13 +27,16 @@ a proves omega <= N // a, and a clique bounds alpha the same way.  On such
 families each step of the count-up races the other side's search for such
 a certificate: the two searches take turns, each resumed where it stopped, in
 slices of deterministic length, and a certificate ends the count-up without
-the step that fails, often the costliest one.
+the step that fails, often the costliest one.  The relabellings that fix
+object 0 and map the family onto itself fix vertex 0 in both graphs, so a
+count-up step that refutes a branch on a vertex of N(0) refutes its whole
+orbit under them, and drops it (orbital branching, after Ostrowski,
+Linderoth, Rossi and Smriglio, 2011).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
 from operator import itemgetter
 from typing import Sequence
@@ -45,6 +48,8 @@ from .graphs import (
     Permutation,
     _orbit_tree,
     _pair_test,
+    _root_orbits,
+    _Value,
     enumerate_perfect_matchings_of,
 )
 
@@ -104,11 +109,9 @@ def perm_to_matching(p: Permutation) -> PerfectMatching:
 # ============================================================
 
 
-@dataclass(frozen=True, init=False)
-class CompatibilityGraph:
+class CompatibilityGraph(_Value):
     """A pairwise relation over a fixed object tuple, as 0-based adjacency
-    bitmasks that the constructor evaluates: dataclasses.replace recomputes
-    them, and refuses to set them.
+    bitmasks that the constructor evaluates.
 
     Objects must be of one kind: paths, matchings, or graphs together with an
     integer cycle length, or permutations (or none) with "reversing" (see
@@ -117,17 +120,20 @@ class CompatibilityGraph:
     that a pairwise scan in index order meets.  On a family with an
     orbit tree (see graphs._orbit_tree) only object 0 is related to each
     other object, and every other row is its parent's row relabelled (see
-    _map_rows); any other family is related pair by pair.
+    _map_rows); any other family is related pair by pair.  The tree, or
+    None, is kept for the searches, outside the fields.
     """
 
+    _fields = ("objects", "adjacency", "relation")
     objects: tuple
-    adjacency: tuple[int, ...] = field(init=False)
+    adjacency: tuple[int, ...]
     relation: int | str  # a cycle length, or the string "reversing"
 
     def __init__(self, objects: Sequence, relation: int | str):
         objs = tuple(objects)
         items, related = _pair_test(objs, relation)
         adjacency = [0] * len(objs)
+        tree = None
         for i, a in enumerate(items):
             if i == 1 and (tree := _orbit_tree(objs)) is not None:
                 _map_rows(adjacency, tree)
@@ -139,6 +145,7 @@ class CompatibilityGraph:
         object.__setattr__(self, "objects", objs)
         object.__setattr__(self, "adjacency", tuple(adjacency))
         object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "_tree", tree)
 
     @property
     def size(self) -> int:
@@ -199,13 +206,20 @@ def _color_order(cand: int, adjacency: Sequence[int]) -> tuple[list[int], list[i
     return order, colors
 
 
-def _clique_search(adjacency: Sequence[int], cand: int, target: int):
+def _clique_search(adjacency: Sequence[int], cand: int, target: int, orbit: Sequence[int] | None = None):
     """Does the candidate mask hold a clique of size target?  Branch and bound
     with greedy coloring bounds, as a generator that can be paused and
     resumed: it yields None before each coloring, and its last item is the
-    answer."""
+    answer.
 
-    def expand(size: int, cand: int):
+    orbit, if given, holds per vertex the mask of its orbit under a group of
+    automorphisms of the graph that maps cand onto itself.  A top-level
+    branch on v that fails then drops all of v's orbit from the candidates
+    (orbital branching): a clique through an orbit-mate of v maps to one
+    through v, and the candidates, losing whole orbits only, stay invariant.
+    """
+
+    def expand(size: int, cand: int, orbit: Sequence[int] | None = None):
         if size >= target:
             return True
         if not cand:
@@ -216,13 +230,17 @@ def _clique_search(adjacency: Sequence[int], cand: int, target: int):
             if size + colors[idx] < target:
                 return False
             v = order[idx]
+            if orbit and not cand >> v & 1:  # dropped with an orbit
+                continue
             cand ^= 1 << v
             if (yield from expand(size + 1, cand & adjacency[v])):
                 return True
+            if orbit:
+                cand &= ~orbit[v]
         return False
 
     # a target <= 0 answers yes, and too few candidates no, before any coloring
-    yield cand.bit_count() >= target and (yield from expand(0, cand))
+    yield cand.bit_count() >= target and (yield from expand(0, cand, orbit))
 
 
 def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
@@ -232,11 +250,14 @@ def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
 
 
 def _raced(
-    adjacency: Sequence[int], cand: int, target: int, other: Sequence[int], bound: int
+    adjacency: Sequence[int], cand: int, target: int, other: Sequence[int], bound: int,
+    orbit: Sequence[int] | None,
 ) -> bool:
     """_has_clique(adjacency, cand, target), raced against a certificate that
     the answer is no: a clique of size bound in the vertex-transitive graph
-    other, sought rooted at vertex 0.
+    other, sought rooted at vertex 0.  Both searches drop the orbits of
+    their failed top-level branches (see _clique_search); cand and other's
+    N(0) are both unions of orbits.
 
     The two searches take turns, each resumed where it stopped, until each
     has run target colorings in all, then 2 * target, and so on (a yes here
@@ -244,8 +265,8 @@ def _raced(
     timing.  A yes from the other side answers no here; a no from it ends
     the race, and this side finishes alone.
     """
-    own = _clique_search(adjacency, cand, target)
-    rival = _clique_search(other, other[0], bound - 1)
+    own = _clique_search(adjacency, cand, target, orbit)
+    rival = _clique_search(other, other[0], bound - 1, orbit)
     spent, step = target, target + 1  # the first item comes before any coloring
     while True:
         *_, answer = itertools.islice(own, step)
@@ -260,7 +281,9 @@ def _raced(
         spent, step = 2 * spent, spent
 
 
-def _lex_least_clique(adjacency: Sequence[int], other: Sequence[int] | None = None) -> tuple[int, ...]:
+def _lex_least_clique(
+    adjacency: Sequence[int], other: Sequence[int] | None = None, orbit: Sequence[int] | None = None
+) -> tuple[int, ...]:
     """A maximum clique that is lexicographically least as a sorted index tuple.
 
     Both steps are decisions by _has_clique.  The clique number omega is found
@@ -276,7 +299,9 @@ def _lex_least_clique(adjacency: Sequence[int], other: Sequence[int] | None = No
     (the clique-coclique bound), so an independent set of size
     N // (w + 1) + 1 proves omega <= w: each count-up step "a clique of size
     w + 1?" races the search for that certificate (see _raced), which can end
-    the count-up without the call that fails.
+    the count-up without the call that fails.  orbit, per vertex the mask of
+    its orbit under automorphisms that fix vertex 0, prunes both sides of
+    each race (see _clique_search); the rebuild stays plain.
     """
     size = len(adjacency)
     chosen: list[int] = []
@@ -288,7 +313,7 @@ def _lex_least_clique(adjacency: Sequence[int], other: Sequence[int] | None = No
     def holds(target: int) -> bool:
         if other is None:
             return _has_clique(adjacency, cand, target)
-        return _raced(adjacency, cand, target, other, size // (len(chosen) + target) + 1)
+        return _raced(adjacency, cand, target, other, size // (len(chosen) + target) + 1, orbit)
 
     need = 0
     while holds(need + 1):
@@ -317,16 +342,19 @@ def _max_set(cg: CompatibilityGraph, related: bool) -> tuple[int, tuple[int, ...
 
     A family with an orbit tree (see graphs._orbit_tree), such as a full
     enumeration in any order, is searched from object 0, with the other
-    side's cliques as certificates that end the search early (see
-    _lex_least_clique); any other family is searched in full.  The witness
-    is re-verified pair by pair with the relation's own pair test (see
-    graphs._pair_test) before being returned.
+    side's cliques as certificates that end the search early and the orbits
+    of the relabellings that fix object 0 (see graphs._root_orbits) pruning
+    its count-up (see _lex_least_clique); any other family is searched in
+    full.  The witness is re-verified pair by pair with the relation's own
+    pair test (see graphs._pair_test) before being returned.
     """
     full = (1 << cg.size) - 1
     complement = tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(cg.adjacency))
     graph, other = (cg.adjacency, complement) if related else (complement, cg.adjacency)
-    rooted = _orbit_tree(cg.objects) is not None
-    witness = _lex_least_clique(graph, other if rooted else None)
+    if cg._tree is None:
+        witness = _lex_least_clique(graph)
+    else:
+        witness = _lex_least_clique(graph, other, _root_orbits(cg.objects))
     items, test = _pair_test([cg.objects[i] for i in witness], cg.relation)
     if any(test(a, b) != related for a, b in itertools.combinations(items, 2)):
         raise RuntimeError("internal error: witness failed re-verification against the relation")

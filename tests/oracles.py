@@ -264,3 +264,32 @@ def group_families(draw, kinds, cap, max_size):
         extra = draw(st.sampled_from(family)) if plant == "duplicate" else member(draw(labels))
         family.insert(draw(st.integers(0, len(family))), extra)
     return family, draw(st.sampled_from(relations(n)))
+
+
+@st.composite
+def fixed_lead_families(draw, cap):
+    """A path or matching family and a relation for it: the orbit of a drawn
+    lead member under the group that a relabelling fixing the lead and a
+    random transposition generate, or under the first alone if that group
+    has more than cap elements.  The fixing relabelling reverses a path; on
+    a matching it permutes the pairs and swaps inside some of them.  The
+    lead comes first, the rest in a random order.  cap is at least 8, the
+    largest order of the fixing relabelling."""
+    kind = draw(st.sampled_from(["paths", "matchings"]))
+    sizes, member, relations = KINDS[kind]
+    n = draw(st.sampled_from(sizes))
+    lead = member(draw(st.permutations(range(1, n + 1)).map(tuple)))
+    if kind == "paths":
+        image = dict(zip(lead.order, reversed(lead.order)))
+    else:
+        image = {}
+        pairs = sorted(lead.edges)
+        targets = draw(st.permutations(pairs))
+        for (u, v), (x, y) in zip(pairs, targets):
+            image.update({u: y, v: x} if draw(st.booleans()) else {u: x, v: y})
+    fixing = tuple(image[v] for v in range(1, n + 1))
+    swap = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    move = tuple(dict(zip(swap, reversed(swap))).get(v, v) for v in range(1, n + 1))
+    group = group_of([fixing, move], cap) or group_of([fixing], cap)
+    members = list(dict.fromkeys(relabelled_by(g, lead) for g in sorted(group)))
+    return [lead, *draw(st.permutations(members[1:]))], draw(st.sampled_from(relations(n)))

@@ -116,9 +116,10 @@ def test_each_command_imports_only_the_modules_it_runs(command, workdir):
         name.partition(".")[2] for name in probe["modules"] if name.startswith("cyclecreate.")
     }
     assert loaded - {"__main__"} == {"cli"} | expected
-    # files are written as they are read, through open(): pathlib alone costs
-    # milliseconds of import on a cold start
-    assert "pathlib" not in probe["modules"]
+    # files are written as they are read, through open(), and the value types
+    # and records are built without dataclasses: pathlib, and dataclasses with
+    # the inspect chain it pulls in, cost milliseconds of import on a cold start
+    assert not {"pathlib", "dataclasses", "inspect"} & set(probe["modules"])
     if command == "bounds" or command.startswith("search"):
         assert "hashlib" not in probe["modules"]
     if command == "verify creating":

@@ -584,6 +584,51 @@ def test_cli_errors_exit_2_with_manifest(capsys, tmp_path):
     assert manifest["command"] is None and manifest["exit_code"] == 0
 
 
+SUBCOMMANDS = {
+    "construct": ("lower-bound", "plane"),
+    "verify": ("creating", "c2kfree"),
+    "reduce": ("paths-to-matchings", "shrink"),
+    "search": (),
+    "count": ("matchings", "permanent"),
+    "check": ("lemma6", "claim4", "claim7"),
+    "bounds": (),
+}
+
+
+def test_help_and_usage_errors_read_as_the_whole_parser_gives_them(capsys, monkeypatch):
+    assert cli._COMMANDS == tuple(SUBCOMMANDS)
+    cases = [["--help"], ["-h"], [], ["nosuch"], ["--k", "2"], ["search", "--help", "--nosuch"]]
+    for command, subcommands in SUBCOMMANDS.items():
+        cases += [[command, "--help"], [command], [command, "--nosuch"], [command, "nosuch"]]
+        cases += [[command, sub, flag] for sub in subcommands for flag in ("--help", "--nosuch")]
+    cases += [
+        ["search", "Q", "--n", "4"],
+        ["search", "H", "--n", "4", "--k", "4", "extra"],
+        ["bounds", "--k", "two"],
+        ["bounds", "--k", "2", "--k"],
+        ["construct", "plane", "--q", "2", "--target-n", "14", "--out", "x"],
+        ["verify", "creating", "--k", "2", "--kind", "graphs", "--in", "x"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, re.sub(r'"wall_time_s": [0-9.e-]+', "", err)
+
+    real, built = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(real(command)) or built[-1])
+    alone = [run(argv) for argv in cases]
+    # a command given first gets its subtree alone
+    commands = [argv[0] if argv and argv[0] in SUBCOMMANDS else None for argv in cases]
+    assert [len(parser._subparsers._group_actions[0].choices) for parser in built] == [
+        1 if command else len(SUBCOMMANDS) for command in commands
+    ]
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: real())
+    for argv, got in zip(cases, alone):
+        assert got == run(argv), argv
+        assert got[0] in (0, 2) and (got[0] == 0) == ("--help" in argv or "-h" in argv), argv
+
+
 def test_cli_refuses_sizes_past_the_caps(capsys, tmp_path):
     # the permanent of a 27 x 27 matrix, and the q = 5 plane (m = 31) through both graph commands
     matrix = tmp_path / "ones.matrix"

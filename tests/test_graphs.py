@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from fractions import Fraction
 from math import inf
 
 import pytest
@@ -21,9 +22,16 @@ from cyclecreate.graphs import (
     is_creating,
     verify_pairwise_creating,
 )
-from cyclecreate.constructions import lower_bound_family, projective_plane_incidence
-from cyclecreate.counting import count_perfect_matchings
-from cyclecreate.search import enumerate_ham_paths, enumerate_perfect_matchings
+from cyclecreate.bounds import exponent_row
+from cyclecreate.constructions import (
+    PlaneIncidence,
+    ValidationReport,
+    lower_bound_family,
+    projective_plane_incidence,
+)
+from cyclecreate.counting import BiadjacencyMatrix, MatchingBoundReport, count_perfect_matchings
+from cyclecreate.reduction import AssociatedTriple, ReducedFamily
+from cyclecreate.search import CompatibilityGraph, enumerate_ham_paths, enumerate_perfect_matchings
 from oracles import (
     all_cycles_oracle,
     bipartition_oracle,
@@ -126,6 +134,70 @@ def test_paths_and_matchings_are_graphs():
             assert not contains_cycle_of_length(x, length) and not contains_cycle_of_length(gx, length)
             created = is_creating(x, y, length)
             assert created == is_creating(gx, gy, length) == contains_cycle_of_length(merged, length)
+
+
+def value_types():
+    """(make, repr, another value of the type) for each of the six value types."""
+    p123, p132 = HamPath((1, 2, 3)), HamPath((1, 3, 2))
+    return [
+        (lambda: LabeledGraph(3, [(2, 1)]), "LabeledGraph(n=3, edges=frozenset({(1, 2)}))",
+         LabeledGraph(3, [(2, 3)])),
+        (lambda: HamPath((3, 1, 2)), "HamPath(order=(2, 1, 3))", p123),
+        (lambda: PerfectMatching([(2, 1)]), "PerfectMatching(n=2, edges=frozenset({(1, 2)}))",
+         PerfectMatching([(1, 2), (3, 4)])),
+        (lambda: Permutation((2, 1)), "Permutation(images=(2, 1))", Permutation((1, 2))),
+        (lambda: BiadjacencyMatrix([[1, 0], [0, 1]]), "BiadjacencyMatrix(m=2, rows=((1, 0), (0, 1)))",
+         BiadjacencyMatrix([[1]])),
+        (lambda: CompatibilityGraph([p123, p132], 3),
+         "CompatibilityGraph(objects=(HamPath(order=(1, 2, 3)), HamPath(order=(1, 3, 2))), "
+         "adjacency=(2, 1), relation=3)",
+         CompatibilityGraph([p123, p132], 4)),
+    ]
+
+
+def test_value_types_compare_hash_and_print_by_their_fields():
+    for make, text, different in value_types():
+        value = make()
+        assert repr(value) == text
+        assert value == make() and hash(value) == hash(make()) and value != different, text
+        name = text.partition("(")[2].partition("=")[0]
+        for change in (lambda: setattr(value, name, None), lambda: delattr(value, name)):
+            with pytest.raises(AttributeError, match=name):
+                change()
+        assert value == make(), text
+    # equal fields of another type are not equal: a matching is no graph
+    assert LabeledGraph(2, [(1, 2)]) != PerfectMatching([(1, 2)])
+    assert len({LabeledGraph(2, [(1, 2)]), PerfectMatching([(1, 2)])}) == 2
+
+
+def test_records_are_named_tuples():
+    # records compare, hash and unpack as the tuples of their fields
+    graph = LabeledGraph(2, [(1, 2)])
+    records = [
+        (FamilyReport(True, 2, 4, 1, None),
+         "FamilyReport(passed=True, family_size=2, cycle_length=4, pair_count=1, first_violation=None)"),
+        (exponent_row(2),
+         "ExponentRow(k=2, cycle_length=4, degree=Fraction(1, 2), lower=Fraction(1, 2), "
+         "matching_upper=Fraction(1, 4), path_upper=Fraction(3, 4))"),
+        (PlaneIncidence(2, graph, (1,), (2,)),
+         "PlaneIncidence(q=2, graph=LabeledGraph(n=2, edges=frozenset({(1, 2)})), points=(1,), lines=(2,))"),
+        (ValidationReport(2, True, True, 3, 6, True),
+         "ValidationReport(k=2, is_bipartite=True, is_regular=True, degree=3, girth=6, passed=True)"),
+        (MatchingBoundReport(2, 2, 2, Fraction(2), True, True),
+         "MatchingBoundReport(half_size=2, degree=2, count=2, bound=Fraction(2, 1), "
+         "doubly_stochastic=True, passed=True)"),
+        (AssociatedTriple(6, 2, (((1, 2),), ((3, 4),), ((5, 6),))),
+         "AssociatedTriple(n=6, k=2, classes=(((1, 2),), ((3, 4),), ((5, 6),)))"),
+        (ReducedFamily((), (0,), (1, 2), ((3, 1), (4, 2))),
+         "ReducedFamily(matchings=(), kept_indices=(0,), removed=(1, 2), label_map=((3, 1), (4, 2)))"),
+    ]
+    for record, text in records:
+        assert repr(record) == text
+        fields = tuple(record)
+        assert record == fields and hash(record) == hash(fields) and type(record)(*fields) == record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        assert tuple(record) == fields, text
 
 
 # ------------------------------------------------------------

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib.util
 import itertools
 import random
@@ -15,6 +14,7 @@ from cyclecreate.graphs import (
     PerfectMatching,
     Permutation,
     _orbit_tree,
+    _root_orbits,
     enumerate_perfect_matchings_of,
     is_creating,
     is_reversing,
@@ -39,7 +39,9 @@ from cyclecreate.search import (
     perm_to_matching,
 )
 from oracles import (
+    fixed_lead_families,
     group_families,
+    matching_union_components_oracle,
     max_clique_oracle,
     naive_family_report,
     perfect_matchings_oracle,
@@ -426,7 +428,10 @@ def test_orbit_build_asks_for_the_tree_once_row_0_is_done(monkeypatch):
         asked = []
         with relation_calls(monkeypatch) as calls, monkeypatch.context() as patch:
             patch.setattr(search, "_orbit_tree", lambda objs: asked.append(len(calls)) or _orbit_tree(objs))
-            build_compatibility_graph(objects, relation)
+            cg = build_compatibility_graph(objects, relation)
+            # the searches take the tree the graph kept
+            max_clique(cg)
+            max_independent_set(cg)
         assert asked == [len(objects) - 1], (target, n, relation)
 
 
@@ -503,9 +508,9 @@ def recorded_routes(monkeypatch):
     None on the general route, the complement side on the rooted one."""
     routes = []
 
-    def recording(adjacency, other=None):
+    def recording(adjacency, other=None, orbit=None):
         routes.append(other)
-        return _lex_least_clique(adjacency, other)
+        return _lex_least_clique(adjacency, other, orbit)
 
     monkeypatch.setattr(search, "_lex_least_clique", recording)
     return routes
@@ -538,12 +543,12 @@ def test_searches_refuse_a_witness_that_fails_the_relation(monkeypatch):
         related = next(pair for pair in pairs if cg.adjacency[pair[0]] >> pair[1] & 1)
         unrelated = next(pair for pair in pairs if not cg.adjacency[pair[0]] >> pair[1] & 1)
         for find, wrong, right in ((max_clique, unrelated, related), (max_independent_set, related, unrelated)):
-            monkeypatch.setattr(search, "_lex_least_clique", lambda adjacency, other=None: wrong)
+            monkeypatch.setattr(search, "_lex_least_clique", lambda adjacency, other=None, orbit=None: wrong)
             with pytest.raises(RuntimeError) as raised:
                 find(cg)
             assert str(raised.value) == "internal error: witness failed re-verification against the relation"
             # the stub is what the search returns when the witness holds
-            monkeypatch.setattr(search, "_lex_least_clique", lambda adjacency, other=None: right)
+            monkeypatch.setattr(search, "_lex_least_clique", lambda adjacency, other=None, orbit=None: right)
             assert find(cg) == (2, right), (relation, find.__name__)
 
 
@@ -584,12 +589,15 @@ def test_a_graph_holds_only_the_adjacency_its_relation_gives(monkeypatch):
     cases.append((joined, edited))
     routes = recorded_routes(monkeypatch)
     for cg, edited in cases:
-        with pytest.raises(ValueError, match="adjacency"):
-            dataclasses.replace(cg, adjacency=edited)
+        # neither the adjacency nor the objects of a graph can be set
+        for name, value in (("adjacency", edited), ("objects", shuffled)):
+            with pytest.raises(AttributeError, match=name):
+                setattr(cg, name, value)
+        assert cg == build_compatibility_graph(paths, cg.relation)
         with pytest.raises(TypeError):
             CompatibilityGraph(cg.objects, edited, cg.relation)
         # new objects bring their own adjacency, and a full orbit stays rooted
-        moved = dataclasses.replace(cg, objects=shuffled)
+        moved = CompatibilityGraph(shuffled, cg.relation)
         assert moved == build_compatibility_graph(shuffled, cg.relation) != cg
         routes.clear()
         assert max_clique(moved) == max_clique_oracle(moved.adjacency, moved.size), cg.relation
@@ -733,7 +741,7 @@ def colorings(monkeypatch, call):
 def plain_count_up(monkeypatch):
     """Turn the certificates off: each count-up step runs its own search alone."""
 
-    def alone(adjacency, cand, target, other, bound):
+    def alone(adjacency, cand, target, other, bound, orbit):
         return search._has_clique(adjacency, cand, target)
 
     monkeypatch.setattr(search, "_raced", alone)
@@ -797,18 +805,79 @@ def test_certificate_work_counts(monkeypatch):
     # <= 60 = N then proves omega <= 12 without the failing "omega >= 13?"
     assert colorings(monkeypatch, lambda: max_clique(h5)) == 137
     # shuffled M8 L4 alpha: alpha * omega = 90 < 105 = N, so no certificate
-    # exists; "omega >= 10?" answers no at once and the race costs 1 coloring
+    # exists; "omega >= 10?" answers no at once and the race costs 1 coloring.
+    # The failing step "a coclique of 11 through object 0" drops each refuted
+    # top-level branch's orbit under the relabellings that fix matching 0
+    # (5 orbits): 1,668 colorings where the plain step takes 13,667
     certified = colorings(monkeypatch, lambda: max_independent_set(m8))
-    assert certified == 13752
+    assert certified == 1753
     # RP6 omega: "alpha >= 56?" never answers first, so the race costs the
     # rival's slices, 90 colorings over the plain count-up's 8,014
     rp6 = build_compatibility_graph(enumerate_permutations(6), "reversing")
     assert colorings(monkeypatch, lambda: max_clique(rp6)) == 8104
-    # the plain count-up is the search as it ran before the certificates
+    # the plain count-up is the search as it ran before the certificates and
+    # the orbits
     plain_count_up(monkeypatch)
     assert colorings(monkeypatch, lambda: max_clique(h5)) == 13164
     plain = colorings(monkeypatch, lambda: max_independent_set(m8))
     assert plain == 13751 and certified <= 1.01 * plain
+
+
+# ------------------------------------------------------------
+# orbital branching under the relabellings that fix object 0
+# ------------------------------------------------------------
+
+def test_root_orbits_are_the_classes_of_independent_oracles():
+    rng = random.Random(41012)
+    # matchings: two matchings are in one orbit exactly when their unions
+    # with matching 0 have the same component sizes
+    for n in (4, 6, 8, 10):
+        matchings = enumerate_perfect_matchings(n)
+        for order in (matchings, rng.sample(matchings, len(matchings))):
+            classes = [
+                sorted(len(walk) for _, walk in matching_union_components_oracle(order[0], m))
+                for m in order
+            ]
+            expected = [sum(1 << j for j, c in enumerate(classes) if c == mine) for mine in classes]
+            assert _root_orbits(order) == expected, n
+    # paths: each path and its image under the relabelling that reverses path 0
+    for n in (3, 4, 5, 6):
+        paths = enumerate_ham_paths(n)
+        for order in (paths, rng.sample(paths, len(paths))):
+            index = {path: i for i, path in enumerate(order)}
+            reverse = dict(zip(order[0].order, reversed(order[0].order)))
+            images = [index[HamPath(reverse[v] for v in path.order)] for path in order]
+            assert _root_orbits(order) == [1 << i | 1 << j for i, j in enumerate(images)], n
+    # no relabelling that fixes a permutation is tried
+    assert _root_orbits(enumerate_permutations(4)) is None
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_orbital_count_up_decides_as_the_plain_one_on_group_families():
+    pruned = []
+
+    def check(case):
+        objects, relation = case
+        cg = build_compatibility_graph(objects, relation)
+        if _orbit_tree(objects) is None:
+            return
+        orbit = _root_orbits(objects)
+        pruned.append(orbit is not None and len(set(orbit)) < len(orbit))
+        # every rooted decision of both sides' count-ups, up to the first no
+        for side in (cg.adjacency, complement(cg.adjacency)):
+            for target in itertools.count():
+                *_, plain = _clique_search(side, side[0], target)
+                *_, orbital = _clique_search(side, side[0], target, orbit)
+                assert orbital == plain, (objects, relation, target)
+                if not plain:
+                    break
+
+    # the group families rarely hold a relabelling that fixes member 0, and
+    # the fixed-lead families always do
+    fixed(given(group_families(("paths", "matchings", "permutations"), 12, 12))(check))()
+    fixed(given(fixed_lead_families(24))(check))()
+    # the orbits merge members often
+    assert pruned.count(True) >= 40, (len(pruned), pruned.count(True))
 
 
 def test_h6_independence_numbers_agree_rooted_and_unrooted():
