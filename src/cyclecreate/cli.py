@@ -234,10 +234,9 @@ def _cmd_bounds(args, inputs, outputs) -> int:
     k_max = args.kmax if args.kmax is not None else args.k
     if k_max < args.k:
         raise ValueError(f"--kmax must be at least --k, got {k_max} < {args.k}")
-    for k in range(args.k, k_max + 1):
-        row = _cli.exponent_row(k)
+    for row in _cli.exponent_table(args.k, k_max):
         print(
-            f"k={k} cycle={row.cycle_length}"
+            f"k={row.k} cycle={row.cycle_length}"
             f" lower={_rational(row.lower, args.decimal)}"
             f" matching_upper={_rational(row.matching_upper, args.decimal)}"
             f" path_upper={_rational(row.path_upper, args.decimal)}"

@@ -26,8 +26,6 @@ from math import inf
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-Vertex = int
-
 # The cap on the n of a graph, paths or matchings file, and of a constructed
 # family: adjacency masks and the work on them grow with n squared.  The
 # q = 31 plane that construct plane writes has 1,986 vertices.
@@ -440,23 +438,20 @@ def _permutation_images(first: tuple, target: tuple, perms: Iterable[tuple]) -> 
 
 
 def _matching_fixers(edges: tuple) -> tuple[tuple, ...]:
-    """Sorted edge tuple `edges` with a swap inside pair 0, with pairs 0 and 1
-    swapped, and with the pairs cycled: as targets of the relabellings that
-    fix the matching, they generate all 2^m m! of them."""
+    """The other raw keys of the matching with sorted edge tuple `edges`: a
+    swap inside pair 0, pairs 0 and 1 swapped, the pairs cycled.  As targets,
+    they generate all 2^m m! relabellings that fix the matching."""
     (a, b), *rest = edges
     return ((b, a), *rest), (*rest[:1], (a, b), *rest[1:]), (*rest, (a, b))
 
 
-# Per kind, for _orbit_tree and _root_orbits: a member's raw key, the keys
-# that member 0's key may be taken to on the way to a member's, those that
-# fix member 0, and the images of raw keys.  Relabelling 1..n preserves
-# creating, and relabelling values reversing.
+# Per kind, for _orbit_tree and _root_orbits: a member's raw key, the other
+# raw keys of the member whose key is given, and the images of raw keys.
+# Relabelling 1..n preserves creating, and relabelling values reversing.
 _ORBIT_KINDS = {
-    HamPath: (lambda path: path.order, lambda order: (order, order[::-1]), lambda order: (order[::-1],),
-              _path_images),
-    PerfectMatching: (lambda m: tuple(sorted(m.edges)), lambda edges: (edges,), _matching_fixers,
-                      _matching_images),
-    Permutation: (lambda perm: perm.images, lambda images: (images,), lambda images: (), _permutation_images),
+    HamPath: (lambda path: path.order, lambda order: (order[::-1],), _path_images),
+    PerfectMatching: (lambda m: tuple(sorted(m.edges)), _matching_fixers, _matching_images),
+    Permutation: (lambda perm: perm.images, lambda images: (), _permutation_images),
 }
 
 
@@ -465,26 +460,27 @@ def _orbit_tree(members: Sequence) -> dict[int, tuple[int, list[int]]] | None:
     the family, of one kind on one ground set, onto itself; or None.
 
     The orbit grows from generators.  For the smallest member j outside it,
-    the relabellings that take member 0's raw key to each of j's candidate
-    keys (see _ORBIT_KINDS) are tried, and the first that maps every member
-    to a member is kept as a move: the index of each member's image.  The
-    tree maps each member but 0, in the order reached, to the (parent, move)
-    that first reached it, with move[parent] that member.  Each kept move
-    enlarges the group, and a chain of subgroups of S_n has fewer than 3n/2
-    steps, so the test takes O(N n^2) steps at most.
+    the relabellings that take member 0's raw key to j's key, and then to
+    each of j's other raw keys (see _ORBIT_KINDS), are tried; the first
+    that maps every member to a member is kept as a move: the index of each
+    member's image.  The tree maps each member but 0, in the order reached,
+    to the (parent, move) that first reached it, with move[parent] that
+    member.  Each kept move enlarges the group, and a chain of subgroups of
+    S_n has fewer than 3n/2 steps, so the test takes O(N n^2) steps at most.
 
     The test is sound for all three kinds: a tree proves the family
-    transitive.  It is complete only for paths, where a relabelling that
-    takes path 0 onto path j reads j's order one way or the other; for a
-    matching or a permutation it tries one relabelling of many, so None
-    there only means "scan pair by pair".  Every full enumeration of two or
-    more members has a tree; fewer than two members, graphs and families
-    with a repeated member have none.
+    transitive.  It is also complete for paths, where a relabelling that
+    takes path 0 onto path j reads j's order one way or the other, and for
+    permutations, where the value relabelling that takes p0 to pj is
+    unique.  For a matching it tries 4 of the 2^(n/2) (n/2)! relabellings
+    that take matching 0 to j, so None there only means "scan pair by
+    pair".  Every full enumeration of two or more members has a tree; fewer
+    than two members, graphs and families with a repeated member have none.
     """
     kind = _ORBIT_KINDS.get(type(members[0])) if len(members) > 1 else None
     if kind is None:
         return None
-    key, targets, _, images = kind
+    key, others, images = kind
     keys = [key(member) for member in members]
     index = {k: i for i, k in enumerate(keys)}
     if len(index) < len(keys):
@@ -493,7 +489,7 @@ def _orbit_tree(members: Sequence) -> dict[int, tuple[int, list[int]]] | None:
     for j in range(1, len(keys)):
         if j in tree:
             continue
-        candidates = (_family_move(index, images(keys[0], t, keys)) for t in targets(keys[j]))
+        candidates = (_family_move(index, images(keys[0], t, keys)) for t in (keys[j], *others(keys[j])))
         move = next(filter(None, candidates), None)
         if move is None:
             return None
@@ -510,21 +506,21 @@ def _orbit_tree(members: Sequence) -> dict[int, tuple[int, list[int]]] | None:
     return tree
 
 
-def _root_orbits(members: Sequence) -> list[int] | None:
+def _root_orbits(members: Sequence) -> list[int]:
     """Per member, the mask of its orbit under the group that the kept
-    relabellings fixing member 0 generate, or None if none is kept.
+    relabellings fixing member 0 generate, or [] if none is kept.
 
-    The relabellings are those that take member 0's raw key to a key of its
-    own (see _ORBIT_KINDS), and one is kept only if it maps the family, of
+    The relabellings are those that take member 0's raw key to its other raw
+    keys (see _ORBIT_KINDS), and one is kept only if it maps the family, of
     one kind in _ORBIT_KINDS with distinct members, onto itself.  Each orbit
     is one mask, shared by its members.
     """
-    key, _, fixers, images = _ORBIT_KINDS[type(members[0])]
+    key, others, images = _ORBIT_KINDS[type(members[0])]
     keys = [key(member) for member in members]
     index = {k: i for i, k in enumerate(keys)}
-    moves = [m for m in (_family_move(index, images(keys[0], t, keys)) for t in fixers(keys[0])) if m]
+    moves = [m for m in (_family_move(index, images(keys[0], t, keys)) for t in others(keys[0])) if m]
     if not moves:
-        return None
+        return []
     orbit = [0] * len(members)
     for start in range(len(members)):
         if orbit[start]:

@@ -31,7 +31,8 @@ the step that fails, often the costliest one.  The relabellings that fix
 object 0 and map the family onto itself fix vertex 0 in both graphs, so a
 count-up step that refutes a branch on a vertex of N(0) refutes its whole
 orbit under them, and drops it (orbital branching, after Ostrowski,
-Linderoth, Rossi and Smriglio, 2011).
+Linderoth, Rossi and Smriglio, 2011); each graph computes these root
+orbits once, and only they put its searches on this route.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ class CompatibilityGraph(_Value):
     that a pairwise scan in index order meets.  On a family with an
     orbit tree (see graphs._orbit_tree) only object 0 is related to each
     other object, and every other row is its parent's row relabelled (see
-    _map_rows); any other family is related pair by pair.  The tree, or
-    None, is kept for the searches, outside the fields.
+    _map_rows); any other family is related pair by pair.  Outside the
+    fields, _orbit keeps the root orbits (see graphs._root_orbits), or None
+    with no tree, for the searches.
     """
 
     _fields = ("objects", "adjacency", "relation")
@@ -133,10 +135,11 @@ class CompatibilityGraph(_Value):
         objs = tuple(objects)
         items, related = _pair_test(objs, relation)
         adjacency = [0] * len(objs)
-        tree = None
+        orbit = None
         for i, a in enumerate(items):
             if i == 1 and (tree := _orbit_tree(objs)) is not None:
                 _map_rows(adjacency, tree)
+                orbit = _root_orbits(objs)
                 break
             for j in range(i + 1, len(items)):
                 if related(a, items[j]):
@@ -145,7 +148,7 @@ class CompatibilityGraph(_Value):
         object.__setattr__(self, "objects", objs)
         object.__setattr__(self, "adjacency", tuple(adjacency))
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_orbit", orbit)
 
     @property
     def size(self) -> int:
@@ -251,7 +254,7 @@ def _has_clique(adjacency: Sequence[int], cand: int, target: int) -> bool:
 
 def _raced(
     adjacency: Sequence[int], cand: int, target: int, other: Sequence[int], bound: int,
-    orbit: Sequence[int] | None,
+    orbit: Sequence[int],
 ) -> bool:
     """_has_clique(adjacency, cand, target), raced against a certificate that
     the answer is no: a clique of size bound in the vertex-transitive graph
@@ -291,27 +294,28 @@ def _lex_least_clique(
     larger clique exists.  Vertices are then taken in index order whenever a
     clique of the remaining size still fits among their common neighbours.
 
-    other, the complement, is given only for vertex-transitive graphs and
-    switches on both of the following; the result does not change.  Every
-    vertex lies in some maximum clique, so the lexicographically least one
-    starts with 0: the witness starts as [0], omega - 1 is counted up inside
-    N(0), and the rebuild continues from index 1.  And alpha * omega <= N
-    (the clique-coclique bound), so an independent set of size
-    N // (w + 1) + 1 proves omega <= w: each count-up step "a clique of size
-    w + 1?" races the search for that certificate (see _raced), which can end
-    the count-up without the call that fails.  orbit, per vertex the mask of
-    its orbit under automorphisms that fix vertex 0, prunes both sides of
-    each race (see _clique_search); the rebuild stays plain.
+    orbit, per vertex the mask of its orbit under automorphisms that fix
+    vertex 0 ([] prunes nothing), is given only for vertex-transitive graphs,
+    with other, the complement, and roots the search; the result does not
+    change.  Every vertex lies in some maximum clique, so the
+    lexicographically least one starts with 0: the witness starts as [0],
+    omega - 1 is counted up inside N(0), and the rebuild continues from
+    index 1.  And alpha * omega <= N (the clique-coclique bound), so an
+    independent set of size N // (w + 1) + 1 proves omega <= w: each
+    count-up step "a clique of size w + 1?" races the search for that
+    certificate (see _raced), which can end the count-up without the call
+    that fails.  The orbits prune both sides of each race (see
+    _clique_search); the rebuild stays plain.
     """
     size = len(adjacency)
     chosen: list[int] = []
     cand = (1 << size) - 1
-    if other is not None:
+    if orbit is not None:
         chosen.append(0)
         cand = adjacency[0]
 
     def holds(target: int) -> bool:
-        if other is None:
+        if orbit is None:
             return _has_clique(adjacency, cand, target)
         return _raced(adjacency, cand, target, other, size // (len(chosen) + target) + 1, orbit)
 
@@ -340,21 +344,18 @@ def _max_set(cg: CompatibilityGraph, related: bool) -> tuple[int, tuple[int, ...
     pairwise unrelated (an independent set), with the lexicographically least
     witness: a clique of that side's graph.
 
-    A family with an orbit tree (see graphs._orbit_tree), such as a full
+    The graph's root orbits decide the route (see CompatibilityGraph): a
+    family with an orbit tree (see graphs._orbit_tree), such as a full
     enumeration in any order, is searched from object 0, with the other
-    side's cliques as certificates that end the search early and the orbits
-    of the relabellings that fix object 0 (see graphs._root_orbits) pruning
-    its count-up (see _lex_least_clique); any other family is searched in
-    full.  The witness is re-verified pair by pair with the relation's own
-    pair test (see graphs._pair_test) before being returned.
+    side's cliques as certificates that end the search early and the root
+    orbits pruning its count-up (see _lex_least_clique); any other family
+    is searched in full.  The witness is re-verified pair by pair with the
+    relation's own pair test (see graphs._pair_test) before being returned.
     """
     full = (1 << cg.size) - 1
     complement = tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(cg.adjacency))
     graph, other = (cg.adjacency, complement) if related else (complement, cg.adjacency)
-    if cg._tree is None:
-        witness = _lex_least_clique(graph)
-    else:
-        witness = _lex_least_clique(graph, other, _root_orbits(cg.objects))
+    witness = _lex_least_clique(graph, other, cg._orbit)
     items, test = _pair_test([cg.objects[i] for i in witness], cg.relation)
     if any(test(a, b) != related for a, b in itertools.combinations(items, 2)):
         raise RuntimeError("internal error: witness failed re-verification against the relation")

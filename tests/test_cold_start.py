@@ -50,7 +50,7 @@ COMMANDS = {
 
 # name a handler reads as _cli.<name> -> a command whose handler calls it
 USED_BY = {
-    "exponent_row": "bounds",
+    "exponent_table": "bounds",
     "exact_h": "search H",
     "exact_m": "search M",
     "exact_rp": "search RP",

@@ -45,6 +45,7 @@ from oracles import (
     max_clique_oracle,
     naive_family_report,
     perfect_matchings_oracle,
+    relabelled_by,
     reversing_oracle,
 )
 
@@ -326,9 +327,9 @@ def test_rooted_route_on_circulant_graphs():
             for graph in (adjacency, complement(adjacency)):
                 expected = max_clique_oracle(graph, n)
                 # the general route, and the rooted one racing the other side
-                for other in (None, complement(graph)):
-                    witness = _lex_least_clique(graph, other)
-                    assert (len(witness), witness) == expected, (n, steps, other is None)
+                for other, orbit in ((None, None), (complement(graph), [])):
+                    witness = _lex_least_clique(graph, other, orbit)
+                    assert (len(witness), witness) == expected, (n, steps, orbit is None)
 
 
 # ------------------------------------------------------------
@@ -429,7 +430,7 @@ def test_orbit_build_asks_for_the_tree_once_row_0_is_done(monkeypatch):
         with relation_calls(monkeypatch) as calls, monkeypatch.context() as patch:
             patch.setattr(search, "_orbit_tree", lambda objs: asked.append(len(calls)) or _orbit_tree(objs))
             cg = build_compatibility_graph(objects, relation)
-            # the searches take the tree the graph kept
+            # the searches take the root orbits the graph kept
             max_clique(cg)
             max_independent_set(cg)
         assert asked == [len(objects) - 1], (target, n, relation)
@@ -504,12 +505,13 @@ def test_every_full_enumeration_has_a_tree_reaching_every_member():
 
 
 def recorded_routes(monkeypatch):
-    """The searches' calls of _lex_least_clique, each as its `other` argument:
-    None on the general route, the complement side on the rooted one."""
+    """The searches' calls of _lex_least_clique, each by its `orbit` argument:
+    None on the general route, and on the rooted one the complement side
+    that it races."""
     routes = []
 
     def recording(adjacency, other=None, orbit=None):
-        routes.append(other)
+        routes.append(None if orbit is None else other)
         return _lex_least_clique(adjacency, other, orbit)
 
     monkeypatch.setattr(search, "_lex_least_clique", recording)
@@ -566,7 +568,7 @@ def test_families_that_are_not_full_orbits_take_the_general_route(monkeypatch):
     # on these the rooted route would miss the optimum, so the guard matters
     for objects in (missing, duplicated):
         cg = build_compatibility_graph(objects, 4)
-        rooted = _lex_least_clique(cg.adjacency, other=complement(cg.adjacency))
+        rooted = _lex_least_clique(cg.adjacency, complement(cg.adjacency), orbit=[])
         with never_race(monkeypatch):
             assert len(rooted) == 5 < max_clique(cg)[0] == 6
 
@@ -578,13 +580,13 @@ def test_a_graph_holds_only_the_adjacency_its_relation_gives(monkeypatch):
     # the L = 4 relation with object 7 isolated: the rooted route would find 5 of 6
     isolated = build_compatibility_graph(paths, 4)
     edited = tuple(0 if v == 7 else mask & ~(1 << 7) for v, mask in enumerate(isolated.adjacency))
-    assert len(_lex_least_clique(edited, other=complement(edited))) == 5
+    assert len(_lex_least_clique(edited, complement(edited), orbit=[])) == 5
     assert max_clique_oracle(edited, len(paths)) == (6, (1, 2, 4, 6, 8, 9))
     cases = [(isolated, edited)]
     # the L = 3 relation with object 7 joined to all: the rooted route would find 3 of 4
     joined = build_compatibility_graph(paths, 3)
     edited = tuple(full ^ 1 << 7 if v == 7 else mask | 1 << 7 for v, mask in enumerate(joined.adjacency))
-    assert len(_lex_least_clique(complement(edited), other=edited)) == 3
+    assert len(_lex_least_clique(complement(edited), edited, orbit=[])) == 3
     assert max_clique_oracle(complement(edited), len(paths))[0] == 4
     cases.append((joined, edited))
     routes = recorded_routes(monkeypatch)
@@ -849,7 +851,7 @@ def test_root_orbits_are_the_classes_of_independent_oracles():
             images = [index[HamPath(reverse[v] for v in path.order)] for path in order]
             assert _root_orbits(order) == [1 << i | 1 << j for i, j in enumerate(images)], n
     # no relabelling that fixes a permutation is tried
-    assert _root_orbits(enumerate_permutations(4)) is None
+    assert _root_orbits(enumerate_permutations(4)) == []
 
 
 @pytest.mark.usefixtures("hypothesis_home")
@@ -862,7 +864,7 @@ def test_orbital_count_up_decides_as_the_plain_one_on_group_families():
         if _orbit_tree(objects) is None:
             return
         orbit = _root_orbits(objects)
-        pruned.append(orbit is not None and len(set(orbit)) < len(orbit))
+        pruned.append(len(set(orbit)) < len(orbit))
         # every rooted decision of both sides' count-ups, up to the first no
         for side in (cg.adjacency, complement(cg.adjacency)):
             for target in itertools.count():
@@ -878,6 +880,61 @@ def test_orbital_count_up_decides_as_the_plain_one_on_group_families():
     fixed(given(fixed_lead_families(24))(check))()
     # the orbits merge members often
     assert pruned.count(True) >= 40, (len(pruned), pruned.count(True))
+
+
+def matching_orbit(moves, first):
+    """The orbit of matching `first` (a list of pairs) under the relabellings
+    that the image tuples `moves` generate, in the order reached."""
+    orbit = [PerfectMatching(first)]
+    for m in orbit:  # the loop also visits what it appends
+        for image in (relabelled_by(g, m) for g in moves):
+            if image not in orbit:
+                orbit.append(image)
+    return orbit
+
+
+def test_a_matching_orbit_that_the_sorted_keys_miss_is_still_transitive(monkeypatch):
+    # orbits of 5 and 10 matchings on 1..6 under groups of relabellings,
+    # where the relabelling that reads the first two members' sorted edge
+    # tuples place by place does not map the family onto itself
+    orbits = [matching_orbit([(3, 1, 6, 4, 2, 5)], [(1, 3), (2, 6), (4, 5)]),
+              matching_orbit([(3, 4, 6, 1, 5, 2), (5, 4, 6, 2, 1, 3)], [(1, 5), (2, 3), (4, 6)])]
+    routes = recorded_routes(monkeypatch)
+    assert [len(family) for family in orbits] == [5, 10]
+    for family in orbits:
+        first, second = (sorted(m.edges) for m in family[:2])
+        sigma = dict(zip(itertools.chain(*first), itertools.chain(*second)))
+        g = tuple(sigma[v] for v in range(1, 7))
+        assert {relabelled_by(g, m) for m in family} != set(family), family
+        assert _orbit_tree(family) is not None, family
+        with monkeypatch.context() as patch:
+            calls = []
+            patch.setattr(graphs, "_creates", lambda a, b, length: calls.append((a, b)) or True)
+            assert verify_pairwise_creating(family, 4).passed
+        assert len(calls) == len(family) - 1, family
+        for length in (4, 6):
+            cg = build_compatibility_graph(family, length)
+            assert cg.adjacency == pairwise_oracle(family, length), (family, length)
+            routes.clear()
+            assert max_clique(cg) == max_clique_oracle(cg.adjacency, cg.size), (family, length)
+            assert max_independent_set(cg) == max_clique_oracle(complement(cg.adjacency), cg.size)
+            assert routes == [complement(cg.adjacency), cg.adjacency], (family, length)
+
+
+def test_root_orbits_are_computed_once_per_graph_with_an_orbit_tree(monkeypatch):
+    cases = [(ENUMERATE[target](n), relation) for target, n, relation in FULL_ORBITS]
+    cases += not_full_orbits()
+    asked = []
+    monkeypatch.setattr(search, "_root_orbits", lambda objs: asked.append(len(objs)) or _root_orbits(objs))
+    for objects, relation in cases:
+        asked.clear()
+        cg = build_compatibility_graph(objects, relation)
+        rooted = _orbit_tree(objects) is not None
+        assert asked == ([len(objects)] if rooted else []), (objects, relation)
+        # the searches read the orbits the graph kept
+        max_clique(cg)
+        max_independent_set(cg)
+        assert asked == ([len(objects)] if rooted else []), (objects, relation)
 
 
 def test_h6_independence_numbers_agree_rooted_and_unrooted():
