@@ -22,7 +22,7 @@ from .graphs import (
 MAX_LOWER_BOUND_BLOCKS = 9  # the family has ((n-1)/k)! paths
 # ((n-1)/k)! * n labels in all; the most the block cap admits at k = 2 (n = 19)
 MAX_LOWER_BOUND_LABELS = factorial(MAX_LOWER_BOUND_BLOCKS) * (2 * MAX_LOWER_BOUND_BLOCKS + 1)
-MAX_PLANE_ORDER = 31  # the build checks all (q^2+q+1)^2 point-line pairs
+MAX_PLANE_ORDER = 31  # 2(q^2+q+1) = 1,986 vertices at q = 31
 
 
 def lower_bound_family(n: int, k: int) -> list[HamPath]:
@@ -82,6 +82,12 @@ class PlaneIncidence(NamedTuple):
     lines: tuple[int, ...]   # vertex labels q^2+q+2..2(q^2+q+1)
 
 
+def _normalized(vector: list[int], q: int) -> tuple[int, ...]:
+    """The multiple of a nonzero vector mod q whose first nonzero entry is 1."""
+    inverse = pow(next(c for c in vector if c % q), -1, q)
+    return tuple(c * inverse % q for c in vector)
+
+
 def projective_plane_incidence(q: int) -> PlaneIncidence:
     """Incidence graph between the points and lines of the plane of order q.
 
@@ -89,7 +95,11 @@ def projective_plane_incidence(q: int) -> PlaneIncidence:
     2-dimensional ones, both keyed by a normalized representative (first
     nonzero coordinate equal to 1) and numbered in lexicographic order.  A
     point lies on a line when the dot product of their representatives is zero
-    mod q.  The result is (q+1)-regular, bipartite, and has girth 6.
+    mod q.  A point p with its leading 1 at index f and other indices g and h
+    is orthogonal to u = e_g - p_g e_f and v = e_h - p_h e_f, which span its
+    orthogonal plane, so its q + 1 lines are u and v + t u for t in Z_q, each
+    normalized and looked up; no point-line pair is tested.  The result is
+    (q+1)-regular, bipartite, and has girth 6.
 
     Only prime q up to MAX_PLANE_ORDER is supported; prime powers would need a
     field construction.
@@ -104,11 +114,16 @@ def projective_plane_incidence(q: int) -> PlaneIncidence:
         + [(1, a, b) for a in range(q) for b in range(q)]
     )
     count = len(reps)  # q^2 + q + 1
+    label = {rep: count + j + 1 for j, rep in enumerate(reps)}
     edges = []
     for i, point in enumerate(reps):
-        for j, line in enumerate(reps):
-            if sum(p * l for p, l in zip(point, line)) % q == 0:
-                edges.append((i + 1, count + j + 1))
+        f = point.index(1)
+        g, h = (c for c in range(3) if c != f)
+        u, v = [0, 0, 0], [0, 0, 0]
+        u[g], u[f] = 1, -point[g]
+        v[h], v[f] = 1, -point[h]
+        for line in [u] + [[b + t * a for a, b in zip(u, v)] for t in range(q)]:
+            edges.append((i + 1, label[_normalized(line, q)]))
     graph = LabeledGraph(2 * count, edges)
     return PlaneIncidence(
         q, graph, tuple(range(1, count + 1)), tuple(range(count + 1, 2 * count + 1))

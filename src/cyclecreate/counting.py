@@ -16,7 +16,7 @@ from .graphs import LabeledGraph, _Value, bipartition
 
 Entry = int | Fraction
 # The cap on the input's m, checked before any sparse line is removed; Glynn's
-# formula then takes at most 2^(m-1) <= 2^25 steps
+# formula then sums at most 2^(m-1) <= 2^25 terms
 MAX_PERMANENT_SIZE = 26
 
 
@@ -76,8 +76,8 @@ def permanent_ryser(matrix: BiadjacencyMatrix) -> Entry:
 
     The size cap applies to the input, before any line is removed.  Each
     removal drops one row and one column and never branches (see
-    `_shed_sparse_lines`), so Glynn's loop then takes at most 2^(m-1) steps,
-    and none once the whole matrix is gone.  Integer matrices give an int.
+    `_shed_sparse_lines`), so Glynn's formula then sums at most 2^(m-1)
+    terms, and none once the whole matrix is gone.  Integer matrices give an int.
     """
     _refuse_past_cap(matrix.m)
     factor, rows = _shed_sparse_lines(matrix.rows)
@@ -133,31 +133,45 @@ def _sparse_row(rows: list[list[Entry]]) -> tuple[int, list[int]] | None:
 
 
 def _glynn(rows: Sequence[Sequence[Entry]]) -> Entry:
-    """Glynn's formula in 2^(m-1) steps.
+    """Glynn's formula in 2^(m-1) terms.
 
     Per(A) = 2^-(m-1) * sum over sign vectors d with d[0] = +1 of
-    (prod_i d[i]) * prod_j sum_i d[i] a[i][j].  Gray code order flips one
-    row's sign per step, which moves the column sums by twice that row and
-    flips the sign of the term.  Integer matrices give an int.
+    (prod_i d[i]) * prod_j sum_i d[i] a[i][j].  The last (m-1)//2 rows are
+    listed once as their 2^((m-1)//2) signed column offsets, split by the
+    sign of their product.  Rows 1..head walk in Gray code order: each step
+    flips one row's sign, which moves the column sums by twice that row and
+    flips the sign of the step, and sums prod(sums + offset) over every
+    listed offset.  Integer matrices give an int.
     """
     m = len(rows)
     if m == 0:
         return 1
-    doubled = [[2 * entry for entry in row] for row in rows[1:]]
-    sums = [sum(column) for column in zip(*rows)]
-    total = prod(sums)
+    head = m - 1 - (m - 1) // 2
+    plus: list[tuple[Entry, ...]] = [(0,) * m]
+    minus: list[tuple[Entry, ...]] = []
+    for row in rows[head + 1:]:
+        plus, minus = (
+            [tuple(map(add, o, row)) for o in plus] + [tuple(map(sub, o, row)) for o in minus],
+            [tuple(map(sub, o, row)) for o in plus] + [tuple(map(add, o, row)) for o in minus],
+        )
+    doubled = [[2 * entry for entry in row] for row in rows[1:head + 1]]
+    sums = [sum(column) for column in zip(*rows[:head + 1])]
+    total = _products(sums, plus) - _products(sums, minus)
     negated = 0
-    for counter in range(1, 1 << (m - 1)):
+    for counter in range(1, 1 << head):
         low = counter & -counter
         negated ^= low
         step = sub if negated & low else add
         sums = list(map(step, sums, doubled[low.bit_length() - 1]))
-        if counter & 1:
-            total -= prod(sums)
-        else:
-            total += prod(sums)
+        term = _products(sums, plus) - _products(sums, minus)
+        total += -term if counter & 1 else term
     scale = 1 << (m - 1)
     return total // scale if isinstance(total, int) else total / scale
+
+
+def _products(sums: list[Entry], offsets: list[tuple[Entry, ...]]) -> Entry:
+    """Sum of prod(sums + offset) over the offsets, iterated in C."""
+    return sum(map(prod, map(map, itertools.repeat(add), itertools.repeat(sums), offsets)))
 
 
 def permanent_naive(matrix: BiadjacencyMatrix) -> Entry:

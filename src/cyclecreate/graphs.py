@@ -268,20 +268,25 @@ def girth(g: LabeledGraph) -> int | float:
     level closes a walk of length 2d + 1, and a vertex reached from two level
     members one of length 2d + 2.  Each walk uses some edge once, so it holds
     a cycle no longer than itself, and from the smallest vertex of a shortest
-    cycle the search finds one that short.
+    cycle the search finds one that short.  A bipartite graph has no odd
+    closed walk, so there a level is searched only while 2d + 2 can still
+    beat the best cycle found.
     """
     adj = g.adjacency
+    shortest = 2 if bipartition(g) is not None else 1
     best: int | float = inf
     for src in range(1, g.n + 1):
-        best = _shortest_walk_from(adj, src, best)
+        best = _shortest_walk_from(adj, src, best, shortest)
     return best
 
 
-def _shortest_walk_from(adj: Sequence[int], src: int, best: int | float) -> int | float:
+def _shortest_walk_from(
+    adj: Sequence[int], src: int, best: int | float, shortest: int
+) -> int | float:
     unseen = -1 << (src + 1)  # the vertices above src
     level = 1 << src
     depth = 0
-    while level and 2 * depth + 1 < best:
+    while level and 2 * depth + shortest < best:
         reached = twice = 0
         rest = level
         while rest:

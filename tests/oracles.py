@@ -4,9 +4,10 @@ Nothing here shares code with the package routines it checks: cycles are found
 by trying every vertex subset and every cyclic order, cliques by trying every
 vertex subset, perfect matchings by trying every set of n/2 edges, reversals
 by the double loop straight from the definition, the union of two matchings
-by walking partners, and bipartitions by colouring vertex by vertex.  Groups
-of relabellings are closed by composing their generators until nothing new
-appears, and families closed under them are built by relabelling members.
+by walking partners, bipartitions by colouring vertex by vertex, and plane
+incidences by testing every point-line pair.  Groups of relabellings are
+closed by composing their generators until nothing new appears, and families
+closed under them are built by relabelling members.
 """
 
 from __future__ import annotations
@@ -95,6 +96,25 @@ def bipartition_oracle(g: LabeledGraph) -> tuple[tuple[int, ...], tuple[int, ...
     left = tuple(v for v in range(1, g.n + 1) if color[v] == 0)
     right = tuple(v for v in range(1, g.n + 1) if color[v] == 1)
     return left, right
+
+
+def plane_incidence_oracle(q: int) -> frozenset[tuple[int, int]]:
+    """Edges of the point-line incidence graph of the plane of prime order q:
+    the nonzero vectors of (Z_q)^3 whose first nonzero entry is 1, sorted, are
+    both the points 1..c and the lines c+1..2c, and every point-line pair
+    with dot product 0 mod q is an edge."""
+    reps = sorted(
+        vector
+        for vector in itertools.product(range(q), repeat=3)
+        if any(vector) and next(x for x in vector if x) == 1
+    )
+    c = len(reps)
+    return frozenset(
+        (i + 1, c + j + 1)
+        for i, point in enumerate(reps)
+        for j, line in enumerate(reps)
+        if sum(x * y for x, y in zip(point, line)) % q == 0
+    )
 
 
 def max_clique_oracle(adjacency, size: int) -> tuple[int, tuple[int, ...]]:

@@ -18,6 +18,7 @@ from cyclecreate.graphs import (
     girth,
     verify_pairwise_creating,
 )
+from oracles import plane_incidence_oracle
 
 
 # ------------------------------------------------------------
@@ -132,6 +133,11 @@ def test_plane_order_cap():
         with pytest.raises(ValueError, match=rf"^the plane order is limited to q <= 31, got {q}$"):
             projective_plane_incidence(q)
     assert MAX_PLANE_ORDER == 31
+
+
+def test_plane_edges_equal_the_all_pairs_scan():
+    for q in (2, 3, 5, 7, 11, 13):
+        assert projective_plane_incidence(q).graph.edges == plane_incidence_oracle(q), q
 
 
 def test_plane_every_point_pair_shares_one_line():

@@ -103,9 +103,15 @@ def test_permanent_routes_agree_random_fraction_matrices():
             assert permanent_ryser(matrix) == permanent_naive(matrix), rows
 
 
-# OEIS A000166 (derangements) and A000179 (menage numbers), m = 10, 11, 12, 16
-DERANGEMENTS = {10: 1334961, 11: 14684570, 12: 176214841, 16: 7697064251745}
-MENAGE = {10: 439792, 11: 4890741, 12: 59216642, 16: 2649391469058}
+# OEIS A000166 (derangements) and A000179 (menage numbers), m = 10, 11, 12, 16, 17, 18
+DERANGEMENTS = {
+    10: 1334961, 11: 14684570, 12: 176214841,
+    16: 7697064251745, 17: 130850092279664, 18: 2355301661033953,
+}
+MENAGE = {
+    10: 439792, 11: 4890741, 12: 59216642,
+    16: 2649391469058, 17: 45226435601207, 18: 817056406224416,
+}
 
 
 def zero_diagonals(m, offsets):
@@ -116,11 +122,32 @@ def zero_diagonals(m, offsets):
 
 
 def test_permanent_closed_forms_above_the_naive_limit():
-    for m in (10, 11, 12):
+    # 16, 17 and 18 are the sizes of the benchmark's dense permanents
+    for m in (10, 11, 12, 16, 17, 18):
         ones = permanent_ryser(zero_diagonals(m, ()))
         assert type(ones) is int and ones == factorial(m)
         assert permanent_ryser(zero_diagonals(m, (0,))) == DERANGEMENTS[m]
         assert permanent_ryser(zero_diagonals(m, (0, 1))) == MENAGE[m]
+
+
+def test_glynn_matches_the_definition_on_dense_matrices():
+    # called directly, so no sparse line is removed first; m = 1 walks no
+    # row and lists none, m = 2 lists none, and every split up to 9 occurs
+    rng = random.Random(51005)
+    for m in range(10):
+        for _ in range(3 if m <= 7 else 1):
+            rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(m)] for _ in range(m)]
+            result = counting._glynn(rows)
+            assert type(result) is int
+            assert result == permanent_naive(BiadjacencyMatrix(rows)), rows
+            # per(A) = per(60 A) / 60^m: the definition runs on integers,
+            # which is much faster than on fractions at m = 9
+            rows = [
+                [Fraction(rng.choice((-4, -3, -1, 1, 2, 5)), rng.randint(1, 6)) for _ in range(m)]
+                for _ in range(m)
+            ]
+            scaled = BiadjacencyMatrix([[int(60 * entry) for entry in row] for row in rows])
+            assert counting._glynn(rows) == Fraction(permanent_naive(scaled), 60 ** m), rows
 
 
 def ones_on_diagonals(m, offsets, rng):

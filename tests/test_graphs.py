@@ -369,6 +369,64 @@ def test_girth_matches_shortest_cycle_oracle():
             (length for length in range(3, n + 1) if cycle_exists_oracle(g, length)), inf
         )
         assert girth(g) == expected, g.edges
+    rng = random.Random(20214)
+    for trial in range(100):
+        n = rng.randint(4, 10)
+        labels = rng.sample(range(1, n + 1), n)
+        if trial % 2:
+            # a random bipartite graph on a random split of the labels
+            cut = rng.randint(1, n - 1)
+            p = rng.choice([0.2, 0.4, 0.6])
+            edges = [(u, v) for u in labels[:cut] for v in labels[cut:] if rng.random() < p]
+        else:
+            # an even cycle on random labels plus up to two chords that join
+            # positions of opposite parity, so the graph stays bipartite
+            cycle = labels[: rng.randrange(4, min(n, 8) + 1, 2)]
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(cycle))
+                edges.append((cycle[i], cycle[(i + rng.randrange(1, len(cycle), 2)) % len(cycle)]))
+        g = LabeledGraph(n, edges)
+        assert bipartition(g) is not None
+        expected = next(
+            (length for length in range(4, n + 1, 2) if cycle_exists_oracle(g, length)), inf
+        )
+        assert girth(g) == expected, g.edges
+
+
+def disjoint_cycles(*lengths):
+    """Cycles on consecutive labels, the first on 1..lengths[0]."""
+    edges, start = [], 1
+    for length in lengths:
+        ring = list(range(start, start + length))
+        edges += zip(ring, ring[1:] + ring[:1])
+        start += length
+    return LabeledGraph(start - 1, edges)
+
+
+def test_girth_stops_at_even_depths_only_on_bipartite_graphs(monkeypatch):
+    stops = []
+    walk = graphs._shortest_walk_from
+
+    def spy(adj, src, best, shortest):
+        stops.append(shortest)
+        return walk(adj, src, best, shortest)
+
+    monkeypatch.setattr(graphs, "_shortest_walk_from", spy)
+    forest = LabeledGraph(9, [(1, 2), (1, 3), (2, 4), (2, 5), (6, 7), (7, 8)])
+    for g, expected, bipartite in (
+        (disjoint_cycles(5, 8), 5, False),
+        (disjoint_cycles(7, 6), 6, False),
+        (disjoint_cycles(9, 4), 4, False),
+        # a longer cycle first, so later sources start with a best to beat
+        (disjoint_cycles(8, 4), 4, True),
+        (disjoint_cycles(10, 6, 8), 6, True),
+        (forest, inf, True),
+    ):
+        stops.clear()
+        assert girth(g) == expected, g.edges
+        assert (bipartition(g) is not None) == bipartite
+        assert set(stops) == {2 if bipartite else 1}, g.edges
 
 
 def test_bipartition_classes():
