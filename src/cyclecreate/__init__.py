@@ -26,10 +26,10 @@ _HOME = {
             "count_perfect_matchings permanent_naive permanent_ryser van_der_waerden_bound"
         ),
         "graphs": (
-            "FamilyReport HamPath LabeledGraph PerfectMatching Permutation bipartition "
-            "contains_cycle_of_length enumerate_perfect_matchings_of girth is_creating "
-            "is_reversing verify_pairwise_creating"
+            "FamilyReport HamPath PerfectMatching Permutation contains_cycle_of_length "
+            "enumerate_perfect_matchings_of is_creating is_reversing verify_pairwise_creating"
         ),
+        "hosts": "LabeledGraph bipartition girth",
         "reduction": (
             "AssociatedTriple ReducedFamily associated_triple fixed_graph ground_set_reduce "
             "pigeonhole_largest_class strip_to_matchings triple_count verify_fixed_edges_unused"

@@ -7,17 +7,12 @@ from __future__ import annotations
 
 import itertools
 from math import factorial, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .graphs import (
-    MAX_VERTICES,
-    HamPath,
-    LabeledGraph,
-    PerfectMatching,
-    bipartition,
-    enumerate_perfect_matchings_of,
-    girth,
-)
+from .hosts import MAX_VERTICES, LabeledGraph, bipartition, girth
+
+if TYPE_CHECKING:  # graphs is loaded only to build a path or matching family
+    from .graphs import HamPath, PerfectMatching
 
 MAX_LOWER_BOUND_BLOCKS = 9  # the family has ((n-1)/k)! paths
 # ((n-1)/k)! * n labels in all; the most the block cap admits at k = 2 (n = 19)
@@ -53,6 +48,8 @@ def lower_bound_family(n: int, k: int) -> list[HamPath]:
     if labels > MAX_LOWER_BOUND_LABELS:
         cap = f"((n-1)/k)! * n <= {MAX_LOWER_BOUND_LABELS} labels"
         raise ValueError(f"the family is limited to {cap}, got {labels}")
+    from .graphs import HamPath
+
     blocks = [tuple(range(t * k + 2, (t + 1) * k + 1)) for t in range(m)]
     family = []
     for assignment in itertools.permutations(range(m)):
@@ -82,24 +79,20 @@ class PlaneIncidence(NamedTuple):
     lines: tuple[int, ...]   # vertex labels q^2+q+2..2(q^2+q+1)
 
 
-def _normalized(vector: list[int], q: int) -> tuple[int, ...]:
-    """The multiple of a nonzero vector mod q whose first nonzero entry is 1."""
-    inverse = pow(next(c for c in vector if c % q), -1, q)
-    return tuple(c * inverse % q for c in vector)
-
-
 def projective_plane_incidence(q: int) -> PlaneIncidence:
     """Incidence graph between the points and lines of the plane of order q.
 
     Points are the 1-dimensional subspaces of (Z_q)^3 and lines the
     2-dimensional ones, both keyed by a normalized representative (first
-    nonzero coordinate equal to 1) and numbered in lexicographic order.  A
+    nonzero coordinate equal to 1) and numbered in lexicographic order:
+    (0, 0, 1), then (0, 1, c) as 1 + c, then (1, b, c) as 1 + q + qb + c.  A
     point lies on a line when the dot product of their representatives is zero
     mod q.  A point p with its leading 1 at index f and other indices g and h
     is orthogonal to u = e_g - p_g e_f and v = e_h - p_h e_f, which span its
     orthogonal plane, so its q + 1 lines are u and v + t u for t in Z_q, each
-    normalized and looked up; no point-line pair is tested.  The result is
-    (q+1)-regular, bipartite, and has girth 6.
+    numbered from its normalized multiple, found with a table of inverses mod
+    q; no point-line pair is tested.  The result is (q+1)-regular, bipartite,
+    and has girth 6.
 
     Only prime q up to MAX_PLANE_ORDER is supported; prime powers would need a
     field construction.
@@ -108,22 +101,32 @@ def projective_plane_incidence(q: int) -> PlaneIncidence:
         raise ValueError(f"the plane order is limited to q <= {MAX_PLANE_ORDER}, got {q}")
     if not _is_prime(q):
         raise ValueError(f"plane order must be a prime, got {q}")
-    reps = sorted(
+    reps = (
         [(0, 0, 1)]
         + [(0, 1, a) for a in range(q)]
         + [(1, a, b) for a in range(q) for b in range(q)]
     )
     count = len(reps)  # q^2 + q + 1
-    label = {rep: count + j + 1 for j, rep in enumerate(reps)}
+    inverse = [0, *(pow(c, -1, q) for c in range(1, q))]
+
+    def label(x: int, y: int, z: int) -> int:
+        """The vertex of the line with nonzero representative (x, y, z) mod q."""
+        if x:
+            s = inverse[x]
+            return count + 2 + q + y * s % q * q + z * s % q
+        if y:
+            return count + 2 + z * inverse[y] % q
+        return count + 1
+
     edges = []
-    for i, point in enumerate(reps):
+    for i, point in enumerate(reps, start=1):
         f = point.index(1)
         g, h = (c for c in range(3) if c != f)
         u, v = [0, 0, 0], [0, 0, 0]
-        u[g], u[f] = 1, -point[g]
-        v[h], v[f] = 1, -point[h]
-        for line in [u] + [[b + t * a for a, b in zip(u, v)] for t in range(q)]:
-            edges.append((i + 1, label[_normalized(line, q)]))
+        u[g], u[f] = 1, -point[g] % q
+        v[h], v[f] = 1, -point[h] % q
+        for line in [u] + [[(b + t * a) % q for a, b in zip(u, v)] for t in range(q)]:
+            edges.append((i, label(*line)))
     graph = LabeledGraph(2 * count, edges)
     return PlaneIncidence(
         q, graph, tuple(range(1, count + 1)), tuple(range(count + 1, 2 * count + 1))
@@ -185,4 +188,6 @@ def build_noncreating_family(g: LabeledGraph, k: int) -> list[PerfectMatching]:
             "graph fails the bipartite/regular/girth screen: "
             f"bipartite={report.is_bipartite} regular={report.is_regular} girth={report.girth}"
         )
+    from .graphs import enumerate_perfect_matchings_of
+
     return enumerate_perfect_matchings_of(g)

@@ -7,14 +7,17 @@ entries are rejected outright so no result is ever approximate.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import factorial, prod
 from operator import add, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .graphs import LabeledGraph, _Value, bipartition
+from .hosts import LabeledGraph, _Value, bipartition
 
-Entry = int | Fraction
+if TYPE_CHECKING:  # fractions is imported only where a Fraction is made or checked
+    from fractions import Fraction
+
+    Entry = int | Fraction
+
 # The cap on the input's m, checked before any sparse line is removed; Glynn's
 # formula then sums at most 2^(m-1) <= 2^25 terms
 MAX_PERMANENT_SIZE = 26
@@ -35,8 +38,11 @@ class BiadjacencyMatrix(_Value):
                     f"matrix must be square, got a row of length {len(row)} in size {len(data)}"
                 )
             for entry in row:
-                if not isinstance(entry, (int, Fraction)):
-                    raise TypeError(f"entries must be int or Fraction, got {type(entry).__name__}")
+                if type(entry) is not int:
+                    from fractions import Fraction
+
+                    if not isinstance(entry, (int, Fraction)):
+                        raise TypeError(f"entries must be int or Fraction, got {type(entry).__name__}")
         object.__setattr__(self, "m", len(data))
         object.__setattr__(self, "rows", data)
 
@@ -205,6 +211,8 @@ def count_perfect_matchings(g: LabeledGraph) -> int:
 
 def van_der_waerden_bound(m: int) -> Fraction:
     """Minimum permanent m!/m^m of an m-by-m doubly stochastic matrix."""
+    from fractions import Fraction
+
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     return Fraction(factorial(m), m ** m)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .graphs import MAX_VERTICES, HamPath, LabeledGraph, PerfectMatching
+from .hosts import MAX_VERTICES, LabeledGraph
 
-if TYPE_CHECKING:  # counting, and fractions with it, is loaded only to parse a matrix
+if TYPE_CHECKING:  # counting is loaded only to parse a matrix, graphs only to parse a family
     from .counting import BiadjacencyMatrix
+    from .graphs import HamPath, PerfectMatching
 
 
 class FormatError(ValueError):
@@ -107,6 +108,8 @@ def format_paths(family: Sequence[HamPath]) -> str:
 
 
 def parse_paths(text: str) -> list[HamPath]:
+    from .graphs import HamPath
+
     (n, _), body = _frame(text, "paths", "path")
     family = []
     for line_no, raw in body:
@@ -124,6 +127,8 @@ def format_matchings(family: Sequence[PerfectMatching]) -> str:
 
 
 def parse_matchings(text: str) -> list[PerfectMatching]:
+    from .graphs import PerfectMatching
+
     (n, _), body = _frame(text, "matchings", "matching", even=True)
     family = []
     for line_no, raw in body:

@@ -7,7 +7,8 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple, Sequence, TypeVar
 
-from .graphs import HamPath, LabeledGraph, PerfectMatching, _has_cycle_through
+from .graphs import HamPath, PerfectMatching, _has_cycle_through
+from .hosts import LabeledGraph
 
 _Key = TypeVar("_Key")
 

@@ -44,15 +44,14 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     HamPath,
-    LabeledGraph,
     PerfectMatching,
     Permutation,
     _orbit_tree,
     _pair_test,
     _root_orbits,
-    _Value,
     enumerate_perfect_matchings_of,
 )
+from .hosts import LabeledGraph, _Value
 
 MAX_PATH_VERTICES = 8
 MAX_MATCHING_VERTICES = 12

@@ -17,7 +17,8 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from cyclecreate.graphs import FamilyReport, HamPath, LabeledGraph, PerfectMatching, Permutation
+from cyclecreate.graphs import FamilyReport, HamPath, PerfectMatching, Permutation
+from cyclecreate.hosts import LabeledGraph
 
 
 def edge_union(a, b) -> LabeledGraph:

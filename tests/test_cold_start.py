@@ -1,18 +1,23 @@
 """Each CLI command imports only the library modules it runs and names itself
 in its manifest, and every library function the handlers call is looked up on
 the cli module (as _cli.<name>) at call time, so that a replaced cli.<name> is
-the one that runs."""
+the one that runs.  The process entry, and it alone, freezes the start-up
+objects out of the collector's walks, and a command run through it answers
+as cli.main does in process."""
 
 import ast
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cyclecreate import cli
+from cyclecreate import __main__ as entry
+from cyclecreate import cli, hosts
 
 INPUTS = {
     "paths.txt": "paths 12 2\n1 2 3 4 5 6 7 8 9 10 11 12\n7 8 3 4 5 6 1 2 9 10 11 12\n",
@@ -21,8 +26,10 @@ INPUTS = {
     "graph.txt": "graph 6 6\n1 2\n1 6\n2 3\n3 4\n4 5\n5 6\n",  # a 6-cycle
 }
 
-SEARCH = {"graphs", "search"}
-FILES = {"formats", "graphs"}
+# the modules that only path, matching and permutation families need
+FAMILIES = {"graphs", "search", "reduction"}
+SEARCH = {"hosts", "graphs", "search"}
+FILES = {"formats", "hosts"}
 # command -> (argv, the cyclecreate modules beyond cli it loads)
 COMMANDS = {
     "bounds": ("bounds --k 2", {"bounds"}),
@@ -30,11 +37,11 @@ COMMANDS = {
     "search M": ("search M --n 4 --k 4", SEARCH),
     "search RP": ("search RP --n 3", SEARCH),
     "check claim7": ("check claim7 --m 3", SEARCH),
-    "verify creating": ("verify creating --k 2 --kind paths --in paths.txt", FILES),
+    "verify creating": ("verify creating --k 2 --kind paths --in paths.txt", FILES | {"graphs"}),
     "verify c2kfree": ("verify c2kfree --k 2 --in graph.txt", FILES | {"constructions"}),
     "construct lower-bound": (
         "construct lower-bound --n 7 --k 3 --out out.txt",
-        FILES | {"constructions"},
+        FILES | {"constructions", "graphs"},
     ),
     "construct plane": ("construct plane --target-n 14 --out out.txt", FILES | {"constructions"}),
     "count matchings": ("count matchings --in graph.txt", FILES | {"counting"}),
@@ -42,10 +49,10 @@ COMMANDS = {
     "check lemma6": ("check lemma6 --in graph.txt", FILES | {"counting"}),
     "reduce paths-to-matchings": (
         "reduce paths-to-matchings --k 2 --in paths.txt --out out.txt",
-        FILES | {"reduction"},
+        FILES | {"graphs", "reduction"},
     ),
-    "reduce shrink": ("reduce shrink --in matchings.txt --out out.txt", FILES | {"reduction"}),
-    "check claim4": ("check claim4 --k 2 --in paths.txt", FILES | {"reduction"}),
+    "reduce shrink": ("reduce shrink --in matchings.txt --out out.txt", FILES | {"graphs", "reduction"}),
+    "check claim4": ("check claim4 --k 2 --in paths.txt", FILES | {"graphs", "reduction"}),
 }
 
 # name a handler reads as _cli.<name> -> a command whose handler calls it
@@ -122,8 +129,13 @@ def test_each_command_imports_only_the_modules_it_runs(command, workdir):
     assert not {"pathlib", "dataclasses", "inspect"} & set(probe["modules"])
     if command == "bounds" or command.startswith("search"):
         assert "hashlib" not in probe["modules"]
-    if command == "verify creating":
-        assert "fractions" not in probe["modules"]
+    # a Fraction is made only for the exponents and lemma 6's bound
+    assert ("fractions" in probe["modules"]) == (command in {"bounds", "check lemma6"})
+    if command == "count permanent":
+        assert not {"graphs", "fractions"} & (loaded | set(probe["modules"]))
+    # host graphs are screened and counted without the path families' modules
+    if command in {"construct plane", "verify c2kfree", "count matchings", "check lemma6"}:
+        assert not FAMILIES & loaded
 
 
 def names_read_through_cli() -> set[str]:
@@ -154,3 +166,67 @@ def test_handlers_call_the_name_bound_on_the_cli_module(name, workdir, monkeypat
     monkeypatch.setattr(cli, name, spy)
     assert cli.main(COMMANDS[USED_BY[name]][0].split()) == 0
     assert calls
+
+
+@pytest.mark.parametrize("command", ["verify c2kfree", "count matchings", "check lemma6"])
+def test_each_host_command_colours_its_graph_once(command, workdir, monkeypatch):
+    # validate and girth, or the matching bound and biadjacency, share one bipartition
+    real, calls = hosts._color_classes, []
+    monkeypatch.setattr(hosts, "_color_classes", lambda g: calls.append(g) or real(g))
+    assert cli.main(COMMANDS[command][0].split()) == 0
+    assert len(calls) == 1
+
+
+def test_in_process_main_never_freezes(workdir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    for argv, _ in COMMANDS.values():
+        assert cli.main(argv.split()) == 0
+    assert calls == []
+
+
+def test_the_process_entry_freezes_once_before_main_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    assert entry.run() == 3
+    assert calls == ["freeze", "main"]
+
+
+def test_the_installed_script_is_the_process_entry():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r"^(\S+) = \"(.*)\"$", section, re.M) == [("cyclecreate", "cyclecreate.__main__:run")]
+
+
+def without_wall_time(stderr: str) -> tuple[list[str], dict]:
+    """The lines before the manifest, and the manifest less its wall time."""
+    *lines, last = stderr.splitlines()
+    manifest = json.loads(last)
+    assert manifest.pop("wall_time_s") >= 0
+    return lines, manifest
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("construct plane --q 5 --out out.txt", 0),
+        ("verify c2kfree --k 2 --in graph.txt", 0),
+        ("verify c2kfree --k 3 --in graph.txt", 1),
+        ("count permanent --in graph.txt", 2),  # a graph file is no matrix
+        ("bounds --kmax 3", 2),  # --k is missing: a usage error
+        ("bounds --k 2 --kmax 1000", 0),  # 76 KB of stdout, more than a pipe buffers
+    ],
+)
+def test_python_m_answers_as_main_does_in_process(argv, code, workdir, capsys):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "cyclecreate", *argv.split()], capture_output=True, text=True, env=env
+    )
+    written = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    assert done.returncode == code, done.stderr
+    assert cli.main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert done.stdout == captured.out
+    assert without_wall_time(done.stderr) == without_wall_time(captured.err)
+    assert written == {path.name: path.read_bytes() for path in workdir.iterdir()}

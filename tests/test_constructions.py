@@ -12,12 +12,8 @@ from cyclecreate.constructions import (
     projective_plane_incidence,
     validate_c2kfree_bipartite_regular,
 )
-from cyclecreate.graphs import (
-    LabeledGraph,
-    bipartition,
-    girth,
-    verify_pairwise_creating,
-)
+from cyclecreate.graphs import verify_pairwise_creating
+from cyclecreate.hosts import LabeledGraph, bipartition, girth
 from oracles import plane_incidence_oracle
 
 

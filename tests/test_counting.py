@@ -17,7 +17,8 @@ from cyclecreate.counting import (
     van_der_waerden_bound,
 )
 from cyclecreate.constructions import build_noncreating_family, projective_plane_incidence
-from cyclecreate.graphs import LabeledGraph, enumerate_perfect_matchings_of, is_creating
+from cyclecreate.graphs import enumerate_perfect_matchings_of, is_creating
+from cyclecreate.hosts import LabeledGraph
 
 
 def cycle_graph(n):

@@ -22,7 +22,8 @@ from cyclecreate.formats import (
     parse_matrix,
     parse_paths,
 )
-from cyclecreate.graphs import HamPath, LabeledGraph, PerfectMatching
+from cyclecreate.graphs import HamPath, PerfectMatching
+from cyclecreate.hosts import LabeledGraph
 
 pytestmark = pytest.mark.usefixtures("hypothesis_home")
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=80)

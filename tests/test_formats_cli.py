@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclecreate import cli, formats
+from cyclecreate import cli, formats, graphs
 from cyclecreate.cli import main
 from cyclecreate.constructions import lower_bound_family
 from cyclecreate.counting import BiadjacencyMatrix
@@ -24,7 +24,8 @@ from cyclecreate.formats import (
     parse_matrix,
     parse_paths,
 )
-from cyclecreate.graphs import HamPath, LabeledGraph, PerfectMatching, Permutation, is_creating
+from cyclecreate.graphs import HamPath, PerfectMatching, Permutation, is_creating
+from cyclecreate.hosts import LabeledGraph
 from cyclecreate.search import enumerate_permutations, perm_to_matching
 from oracles import reversing_oracle
 
@@ -193,8 +194,9 @@ def test_vertex_cap_refuses_the_header_before_any_member_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a member was built past the vertex cap")
 
-    for name in ("LabeledGraph", "HamPath", "PerfectMatching"):
-        monkeypatch.setattr(formats, name, refuse)
+    # parse_paths and parse_matchings import their member types from graphs when called
+    for module, name in ((formats, "LabeledGraph"), (graphs, "HamPath"), (graphs, "PerfectMatching")):
+        monkeypatch.setattr(module, name, refuse)
     n = formats.MAX_VERTICES + 2  # even, so the matchings header passes its own check
     path = " ".join(map(str, range(1, n + 1)))
     matching = " ".join(f"{v}-{v + 1}" for v in range(1, n, 2))

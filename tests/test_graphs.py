@@ -7,21 +7,19 @@ from math import inf
 import pytest
 from hypothesis import given, settings
 
-from cyclecreate import graphs
+from cyclecreate import graphs, hosts
 from cyclecreate.graphs import (
     FamilyReport,
     HamPath,
-    LabeledGraph,
     PerfectMatching,
     Permutation,
     _creates,
     _has_cycle_through,
-    bipartition,
     contains_cycle_of_length,
-    girth,
     is_creating,
     verify_pairwise_creating,
 )
+from cyclecreate.hosts import LabeledGraph, bipartition, girth
 from cyclecreate.bounds import exponent_row
 from cyclecreate.constructions import (
     PlaneIncidence,
@@ -406,13 +404,13 @@ def disjoint_cycles(*lengths):
 
 def test_girth_stops_at_even_depths_only_on_bipartite_graphs(monkeypatch):
     stops = []
-    walk = graphs._shortest_walk_from
+    walk = hosts._shortest_walk_from
 
     def spy(adj, src, best, shortest):
         stops.append(shortest)
         return walk(adj, src, best, shortest)
 
-    monkeypatch.setattr(graphs, "_shortest_walk_from", spy)
+    monkeypatch.setattr(hosts, "_shortest_walk_from", spy)
     forest = LabeledGraph(9, [(1, 2), (1, 3), (2, 4), (2, 5), (6, 7), (7, 8)])
     for g, expected, bipartite in (
         (disjoint_cycles(5, 8), 5, False),

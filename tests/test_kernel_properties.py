@@ -10,7 +10,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclecreate.graphs import LabeledGraph, _creates, contains_cycle_of_length
+from cyclecreate.graphs import _creates, contains_cycle_of_length
+from cyclecreate.hosts import LabeledGraph
 from oracles import cycle_exists_oracle, edge_union
 
 pytestmark = pytest.mark.usefixtures("hypothesis_home")

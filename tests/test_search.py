@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from cyclecreate.graphs import (
     FamilyReport,
     HamPath,
-    LabeledGraph,
     PerfectMatching,
     Permutation,
     _orbit_tree,
@@ -21,6 +20,7 @@ from cyclecreate.graphs import (
     verify_pairwise_creating,
 )
 from cyclecreate import cli, graphs, search
+from cyclecreate.hosts import LabeledGraph
 from cyclecreate.formats import format_matchings
 from cyclecreate.search import (
     CompatibilityGraph,
