@@ -6,21 +6,29 @@ read as and each output written with (each file is opened once, so a pipe,
 /dev/stdin or /dev/stdout works), and wall time.  Exit codes: 0 success or
 property verified, 1 property violated (with the first witness on stdout), 2
 usage, input format or input size errors.
+
+One table, _TABLE, says what each command takes.  A well-formed argv is read
+straight from it (_plain), and only help, usage errors and the forms that
+only argparse reads (`--k=2`, an abbreviated flag) load argparse, whose
+parser _build_parser makes from the same table.  The manifest is encoded
+with the string escaper that json itself uses and digested with CPython's
+builtin sha256, so a well-formed command loads neither json nor OpenSSL.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import itertools
-import json
 import sys
 import time
+from _json import encode_basestring_ascii as _escape
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
 # The library functions the handlers call, imported on first use so that each
@@ -47,6 +55,7 @@ def __getattr__(name: str):
 
 
 CLAIM7_MAX_M = 6
+MAX_BOUNDS_ROWS = 10_000
 MAX_INPUT_BYTES = 64 << 20  # construct writes at most about 29 MB under its caps
 
 
@@ -68,8 +77,28 @@ def _write(path: str, text: str, outputs: dict[str, str]) -> None:
 
 
 def _sha256(data: bytes) -> str:
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
+    """The hex sha256 of data, from CPython's builtin module (`_sha2` from 3.12,
+    `_sha256` before), which loads no OpenSSL; from hashlib where it is not built."""
+    try:
+        module = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    except ImportError:
+        import hashlib as module
+    return module.sha256(data).hexdigest()
+
+
+def _encode(value) -> str:
+    """json.dumps(value, sort_keys=True) for the manifest's values: dicts keyed
+    by strings, strings, ints, floats, booleans and None."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ", ".join(f"{_escape(key)}: {_encode(item)}" for key, item in items) + "}"
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return repr(value)
 
 
 def _require_k(k: int) -> None:
@@ -234,6 +263,8 @@ def _cmd_bounds(args, inputs, outputs) -> int:
     k_max = args.kmax if args.kmax is not None else args.k
     if k_max < args.k:
         raise ValueError(f"--kmax must be at least --k, got {k_max} < {args.k}")
+    if k_max - args.k >= MAX_BOUNDS_ROWS:
+        raise ValueError(f"the table is limited to {MAX_BOUNDS_ROWS} rows, got {k_max - args.k + 1}")
     for row in _cli.exponent_table(args.k, k_max):
         print(
             f"k={row.k} cycle={row.cycle_length}"
@@ -251,119 +282,188 @@ def _rational(value: Fraction, decimal: bool) -> str:
 
 
 # ============================================================
-# parser and entry point
+# command table, parsers and entry point
 # ============================================================
 
 
-_COMMANDS = ("construct", "verify", "reduce", "search", "count", "check", "bounds")
+def _required(flag: str, help: str | None, **kwargs) -> tuple[str, dict]:
+    """The table's entry for a required option."""
+    return flag, {**kwargs, "required": True, "help": help}
+
+
+_K = "half the created cycle length"
+
+# command -> (help summary, {subcommand: leaf}); a command without subcommands
+# has the single key None.  A leaf is (help summary, handler, arguments), and
+# an argument is a flag, or a positional's name, with the keywords that
+# argparse's add_argument takes for it; a list of arguments in its place is a
+# required group, of which exactly one is given.  Positionals come first.
+_TABLE = {
+    "construct": ("write deterministic families and graphs", {
+        "lower-bound": ("slot-permuted path family of size ((n-1)/k)!", _cmd_construct_lower_bound, (
+            _required("--n", "vertex count, congruent to 1 mod k", type=int),
+            _required("--k", _K, type=int),
+            _required("--out", "output paths file"),
+        )),
+        "plane": ("projective plane incidence graph of prime order", _cmd_construct_plane, (
+            [
+                ("--q", {"type": int, "help": "plane order (prime)"}),
+                ("--target-n", {
+                    "type": int, "dest": "target_n",
+                    "help": "pick the largest order fitting this many vertices",
+                }),
+            ],
+            _required("--out", "output graph file"),
+        )),
+    }),
+    "verify": ("check families and graphs", {
+        "creating": ("all pairs create a cycle of length 2k", _cmd_verify_creating, (
+            _required("--k", _K, type=int),
+            _required("--kind", None, choices=("paths", "matchings")),
+            _required("--in", "input family file", dest="infile"),
+        )),
+        "c2kfree": ("bipartite, regular, and free of cycles up to length 2k", _cmd_verify_c2kfree, (
+            _required("--k", "half the forbidden cycle length", type=int),
+            _required("--in", "input graph file", dest="infile"),
+        )),
+    }),
+    "reduce": ("shrink families while keeping the pairwise property", {
+        "paths-to-matchings": ("strip a path family sharing blocks down to matchings", _cmd_reduce_paths, (
+            _required("--k", _K, type=int),
+            _required("--in", "input paths file", dest="infile"),
+            _required("--out", "output matchings file"),
+        )),
+        "shrink": ("delete vertex 1 and its most common partner", _cmd_reduce_shrink, (
+            _required("--in", "input matchings file", dest="infile"),
+            _required("--out", "output matchings file"),
+        )),
+    }),
+    "search": ("exact extremal family sizes by clique search", {
+        None: (None, _cmd_search, (
+            ("target", {"choices": ("H", "M", "RP"), "help": "paths, matchings, or permutations"}),
+            _required("--n", "ground set size", type=int),
+            ("--k", {"type": int, "help": "exact cycle length for H and M"}),
+        )),
+    }),
+    "count": ("exact counts", {
+        "matchings": ("perfect matchings of a bipartite graph", _cmd_count_matchings, (
+            _required("--in", "input graph file", dest="infile"),
+        )),
+        "permanent": ("permanent of an integer matrix", _cmd_count_permanent, (
+            _required("--in", "input matrix file", dest="infile"),
+        )),
+    }),
+    "check": ("verify the structural facts behind the pipeline", {
+        "lemma6": ("matching count of a regular bipartite graph meets r^m * m!/m^m", _cmd_check_lemma6, (
+            _required("--in", "input graph file", dest="infile"),
+        )),
+        "claim4": (
+            "cycles of length 2k between triple-sharing paths avoid the shared blocks", _cmd_check_claim4, (
+                _required("--k", _K, type=int),
+                _required("--in", "input paths file", dest="infile"),
+            ),
+        ),
+        "claim7": ("reversing permutations match 4-cycle creating matchings", _cmd_check_claim7, (
+            _required("--m", "permutation size (at most 6)", type=int),
+        )),
+    }),
+    "bounds": ("exact rational growth exponents", {
+        None: (None, _cmd_bounds, (
+            _required("--k", "half the cycle length", type=int),
+            ("--kmax", {"type": int, "help": "print rows for k..kmax"}),
+            ("--decimal", {"action": "store_true", "help": "print decimal approximations"}),
+        )),
+    }),
+}
+_COMMANDS = tuple(_TABLE)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The whole parser, or only the subtree of `command` if it names one.
     The usage line names every command either way, so help and usage errors
     read the same."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cyclecreate",
         description="Exact toolkit for families of paths and matchings whose "
         "pairwise unions create fixed-length cycles.",
     )
-    alone = command in _COMMANDS
+    alone = command in _TABLE
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS) if alone else None
     )
-
-    def add(name: str, summary: str) -> argparse.ArgumentParser | None:
-        return sub.add_parser(name, help=summary) if not alone or name == command else None
-
-    if construct := add("construct", "write deterministic families and graphs"):
-        construct_sub = construct.add_subparsers(dest="subcommand", required=True)
-        lower = construct_sub.add_parser(
-            "lower-bound", help="slot-permuted path family of size ((n-1)/k)!"
-        )
-        lower.add_argument("--n", type=int, required=True, help="vertex count, congruent to 1 mod k")
-        lower.add_argument("--k", type=int, required=True, help="half the created cycle length")
-        lower.add_argument("--out", required=True, help="output paths file")
-        lower.set_defaults(handler=_cmd_construct_lower_bound)
-        plane = construct_sub.add_parser(
-            "plane", help="projective plane incidence graph of prime order"
-        )
-        group = plane.add_mutually_exclusive_group(required=True)
-        group.add_argument("--q", type=int, help="plane order (prime)")
-        group.add_argument(
-            "--target-n", type=int, dest="target_n", help="pick the largest order fitting this many vertices"
-        )
-        plane.add_argument("--out", required=True, help="output graph file")
-        plane.set_defaults(handler=_cmd_construct_plane)
-
-    if verify := add("verify", "check families and graphs"):
-        verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-        creating = verify_sub.add_parser("creating", help="all pairs create a cycle of length 2k")
-        creating.add_argument("--k", type=int, required=True, help="half the created cycle length")
-        creating.add_argument("--kind", choices=("paths", "matchings"), required=True)
-        creating.add_argument("--in", dest="infile", required=True, help="input family file")
-        creating.set_defaults(handler=_cmd_verify_creating)
-        c2kfree = verify_sub.add_parser(
-            "c2kfree", help="bipartite, regular, and free of cycles up to length 2k"
-        )
-        c2kfree.add_argument("--k", type=int, required=True, help="half the forbidden cycle length")
-        c2kfree.add_argument("--in", dest="infile", required=True, help="input graph file")
-        c2kfree.set_defaults(handler=_cmd_verify_c2kfree)
-
-    if reduce_cmd := add("reduce", "shrink families while keeping the pairwise property"):
-        reduce_sub = reduce_cmd.add_subparsers(dest="subcommand", required=True)
-        paths_to = reduce_sub.add_parser(
-            "paths-to-matchings", help="strip a path family sharing blocks down to matchings"
-        )
-        paths_to.add_argument("--k", type=int, required=True, help="half the created cycle length")
-        paths_to.add_argument("--in", dest="infile", required=True, help="input paths file")
-        paths_to.add_argument("--out", required=True, help="output matchings file")
-        paths_to.set_defaults(handler=_cmd_reduce_paths)
-        shrink = reduce_sub.add_parser("shrink", help="delete vertex 1 and its most common partner")
-        shrink.add_argument("--in", dest="infile", required=True, help="input matchings file")
-        shrink.add_argument("--out", required=True, help="output matchings file")
-        shrink.set_defaults(handler=_cmd_reduce_shrink)
-
-    if search := add("search", "exact extremal family sizes by clique search"):
-        search.add_argument("target", choices=("H", "M", "RP"), help="paths, matchings, or permutations")
-        search.add_argument("--n", type=int, required=True, help="ground set size")
-        search.add_argument("--k", type=int, help="exact cycle length for H and M")
-        search.set_defaults(handler=_cmd_search)
-
-    if count := add("count", "exact counts"):
-        count_sub = count.add_subparsers(dest="subcommand", required=True)
-        matchings_cmd = count_sub.add_parser("matchings", help="perfect matchings of a bipartite graph")
-        matchings_cmd.add_argument("--in", dest="infile", required=True, help="input graph file")
-        matchings_cmd.set_defaults(handler=_cmd_count_matchings)
-        permanent_cmd = count_sub.add_parser("permanent", help="permanent of an integer matrix")
-        permanent_cmd.add_argument("--in", dest="infile", required=True, help="input matrix file")
-        permanent_cmd.set_defaults(handler=_cmd_count_permanent)
-
-    if check := add("check", "verify the structural facts behind the pipeline"):
-        check_sub = check.add_subparsers(dest="subcommand", required=True)
-        lemma6 = check_sub.add_parser(
-            "lemma6", help="matching count of a regular bipartite graph meets r^m * m!/m^m"
-        )
-        lemma6.add_argument("--in", dest="infile", required=True, help="input graph file")
-        lemma6.set_defaults(handler=_cmd_check_lemma6)
-        claim4 = check_sub.add_parser(
-            "claim4", help="cycles of length 2k between triple-sharing paths avoid the shared blocks"
-        )
-        claim4.add_argument("--k", type=int, required=True, help="half the created cycle length")
-        claim4.add_argument("--in", dest="infile", required=True, help="input paths file")
-        claim4.set_defaults(handler=_cmd_check_claim4)
-        claim7 = check_sub.add_parser(
-            "claim7", help="reversing permutations match 4-cycle creating matchings"
-        )
-        claim7.add_argument("--m", type=int, required=True, help="permutation size (at most 6)")
-        claim7.set_defaults(handler=_cmd_check_claim7)
-
-    if bounds_cmd := add("bounds", "exact rational growth exponents"):
-        bounds_cmd.add_argument("--k", type=int, required=True, help="half the cycle length")
-        bounds_cmd.add_argument("--kmax", type=int, help="print rows for k..kmax")
-        bounds_cmd.add_argument("--decimal", action="store_true", help="print decimal approximations")
-        bounds_cmd.set_defaults(handler=_cmd_bounds)
-
+    for name, (summary, leaves) in _TABLE.items():
+        if alone and name != command:
+            continue
+        node = sub.add_parser(name, help=summary)
+        if None not in leaves:
+            node_sub = node.add_subparsers(dest="subcommand", required=True)
+        for leaf, (leaf_summary, handler, arguments) in leaves.items():
+            target = node if leaf is None else node_sub.add_parser(leaf, help=leaf_summary)
+            for argument in arguments:
+                if isinstance(argument, list):
+                    group = target.add_mutually_exclusive_group(required=True)
+                    for flag, keywords in argument:
+                        group.add_argument(flag, **keywords)
+                else:
+                    target.add_argument(argument[0], **argument[1])
+            target.set_defaults(handler=handler)
     return parser
+
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse makes of argv, if argv has the plain form:
+    the command, its subcommand if it has any, its positional, then options,
+    each given once by its exact flag, as a switch or with the next token as
+    its value.  No value begins with "-", an int is ASCII digits, a value with
+    choices is one of them, every required option is given, and exactly one
+    of a required group.  None for any other argv, which argparse reads."""
+    if not argv or argv[0] not in _TABLE:
+        return None
+    leaves = _TABLE[argv[0]][1]
+    values, rest = {"command": argv[0]}, argv[1:]
+    if None not in leaves:
+        if not rest or rest[0] not in leaves:
+            return None
+        values["subcommand"], rest = rest[0], rest[1:]
+    _, handler, arguments = leaves[values.get("subcommand")]
+    groups = [argument for argument in arguments if isinstance(argument, list)]
+    table = dict(member for argument in arguments for member in (
+        argument if isinstance(argument, list) else [argument]
+    ))
+    positionals = [flag for flag in table if not flag.startswith("-")]
+    given = dict(zip(positionals, rest))
+    tokens = iter(rest[len(positionals):])
+    for token in tokens:
+        if token not in table or token in given:
+            return None
+        given[token] = None if table[token].get("action") == "store_true" else next(tokens, None)
+    for flag, options in table.items():
+        switch = options.get("action") == "store_true"
+        if flag not in given:
+            if options.get("required") or flag in positionals:
+                return None
+            value = False if switch else None
+        elif switch:
+            value = True
+        else:
+            value = given[flag]
+            if value is None or value.startswith("-"):
+                return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+            if options.get("type") is int:
+                if not (value.isascii() and value.isdigit()):
+                    return None
+                try:
+                    value = int(value)
+                except ValueError:  # more digits than int() converts
+                    return None
+        values[options.get("dest", flag.lstrip("-").replace("-", "_"))] = value
+    if any(sum(flag in given for flag, _ in group) != 1 for group in groups):
+        return None
+    return SimpleNamespace(**values, handler=handler)
 
 
 _SKIP_PARAMS = frozenset({"handler", "command", "subcommand"})
@@ -374,16 +474,19 @@ def main(argv: list[str] | None = None) -> int:
     inputs: dict[str, str] = {}
     outputs: dict[str, str] = {}
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
+    args = _plain(argv)
     try:
-        # argparse would read the value of an unknown leading option as the command
-        if argv and argv[0].startswith("-") and argv[0] != "-h" and not "--help".startswith(argv[0]):
-            parser.error(f"unrecognized arguments: {argv[0]}")
-        args = parser.parse_args(argv)
+        if args is None:
+            parser = _build_parser(argv[0] if argv else None)
+            # argparse would read the value of an unknown leading option as the command
+            if argv and argv[0].startswith("-") and argv[0] != "-h" and not "--help".startswith(argv[0]):
+                parser.error(f"unrecognized arguments: {argv[0]}")
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed a usage error or the help text
-        args, command, code = argparse.Namespace(), None, exc.code
+        params, command, code = {}, None, exc.code
     else:
-        command = f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
+        params = vars(args)
+        command = f"{args.command} {args.subcommand}" if "subcommand" in params else args.command
         try:
             code = args.handler(args, inputs, outputs)
         except (ValueError, TypeError, OSError, RecursionError) as exc:  # FormatError is a ValueError
@@ -392,9 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = {
         "command": command,
         "parameters": {
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key not in _SKIP_PARAMS and value is not None
+            key: value for key, value in params.items() if key not in _SKIP_PARAMS and value is not None
         },
         "inputs": inputs,
         "outputs": outputs,
@@ -402,5 +503,5 @@ def main(argv: list[str] | None = None) -> int:
         "wall_time_s": round(time.monotonic() - start, 6),
         "version": __version__,
     }
-    print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
+    print(_encode(manifest), file=sys.stderr)
     return code

@@ -86,17 +86,25 @@ USED_BY = {
     "verify_fixed_edges_unused": "check claim4",
 }
 
-# runs `python -m cyclecreate ARGV...`, then prints the modules loaded by then;
-# it is started with -S, so no site hook (a .pth file) loads modules of its own
+# runs `python -m cyclecreate ARGV...`, then prints the modules loaded by then,
+# listed before json is imported to print them; it is started with -S, so no
+# site hook (a .pth file) loads modules of its own
 PROBE = """
-import json, runpy, sys
+import runpy, sys
 sys.argv = ["cyclecreate", *sys.argv[1:]]
 try:
     runpy.run_module("cyclecreate", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
+
+# argparse with the gettext and locale it loads, json, and hashlib with the
+# OpenSSL binding it loads: none of them is needed to read a well-formed argv,
+# write the manifest or digest a file
+FALLBACK_ONLY = {"argparse", "gettext", "locale", "json", "hashlib", "_hashlib"}
 
 
 @pytest.fixture
@@ -107,35 +115,60 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_each_command_imports_only_the_modules_it_runs(command, workdir):
-    argv, expected = COMMANDS[command]
+def probe(argv: str) -> tuple[subprocess.CompletedProcess, int, set[str]]:
+    """The finished probe of `python -m cyclecreate ARGV`, with the exit code
+    and the modules loaded; the probe's own line is taken off its stdout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
         [sys.executable, "-S", "-c", PROBE, *argv.split()], capture_output=True, text=True, env=env
     )
-    probe = json.loads(done.stdout.splitlines()[-1])
-    assert probe["code"] == 0, done.stderr
+    *lines, last = done.stdout.splitlines(keepends=True)
+    result = json.loads(last)
+    done.stdout = "".join(lines)
+    return done, result["code"], set(result["modules"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_imports_only_the_modules_it_runs(command, workdir):
+    argv, expected = COMMANDS[command]
+    done, code, modules = probe(argv)
+    assert code == 0, done.stderr
     manifest = json.loads(done.stderr.splitlines()[-1])
     # search's target is one of its parameters, not part of the command
     assert manifest["command"] == ("search" if command.startswith("search ") else command)
-    loaded = {
-        name.partition(".")[2] for name in probe["modules"] if name.startswith("cyclecreate.")
-    }
+    loaded = {name.partition(".")[2] for name in modules if name.startswith("cyclecreate.")}
     assert loaded - {"__main__"} == {"cli"} | expected
     # files are written as they are read, through open(), and the value types
     # and records are built without dataclasses: pathlib, and dataclasses with
     # the inspect chain it pulls in, cost milliseconds of import on a cold start
-    assert not {"pathlib", "dataclasses", "inspect"} & set(probe["modules"])
-    if command == "bounds" or command.startswith("search"):
-        assert "hashlib" not in probe["modules"]
+    assert not {"pathlib", "dataclasses", "inspect"} & modules
+    assert not FALLBACK_ONLY & modules
     # a Fraction is made only for the exponents and lemma 6's bound
-    assert ("fractions" in probe["modules"]) == (command in {"bounds", "check lemma6"})
+    assert ("fractions" in modules) == (command in {"bounds", "check lemma6"})
     if command == "count permanent":
-        assert not {"graphs", "fractions"} & (loaded | set(probe["modules"]))
+        assert not {"graphs", "fractions"} & (loaded | modules)
     # host graphs are screened and counted without the path families' modules
     if command in {"construct plane", "verify c2kfree", "count matchings", "check lemma6"}:
         assert not FAMILIES & loaded
+
+
+@pytest.mark.parametrize("argv", ["--help", "bounds --kmax 3", "bounds --k=2 --dec"])
+def test_help_usage_errors_and_argparse_forms_go_through_argparse(argv, workdir, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
+    done, code, modules = probe(argv)
+    assert "argparse" in modules and not {"json", "hashlib"} & modules
+    # stdout, and stderr before the manifest, are argparse's own
+    try:
+        namespace = cli._build_parser().parse_args(argv.split())
+    except SystemExit as exc:
+        expected = exc.code
+    else:
+        expected = namespace.handler(namespace, {}, {})
+    out, err = capsys.readouterr()
+    assert (code, done.stdout, "".join(done.stderr.splitlines(keepends=True)[:-1])) == (expected, out, err)
+    manifest = json.loads(done.stderr.splitlines()[-1])
+    assert manifest["exit_code"] == code
+    assert manifest["command"] == (None if code or argv == "--help" else "bounds")
 
 
 def names_read_through_cli() -> set[str]:

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclecreate import cli, formats, graphs
 from cyclecreate.cli import main
@@ -436,7 +439,7 @@ def only_manifest(stderr, code):
     return rows[:-1], manifest
 
 
-def test_cli_refuses_k_below_two_and_kmax_below_k(capsys, tmp_path):
+def test_cli_refuses_k_below_two_and_kmax_below_k(capsys, tmp_path, monkeypatch):
     family = str(tmp_path / "family.paths")
     out = tmp_path / "out.matchings"
     for argv in (
@@ -453,6 +456,15 @@ def test_cli_refuses_k_below_two_and_kmax_below_k(capsys, tmp_path):
     code, stdout, stderr = run_cli(capsys, ["bounds", "--k", "3", "--kmax", "2"])
     assert (code, stdout) == (2, "")
     assert only_manifest(stderr, 2)[0] == ["error: --kmax must be at least --k, got 2 < 3"]
+    # a table of more than MAX_BOUNDS_ROWS rows is refused before any row is built
+    code, stdout, stderr = run_cli(capsys, ["bounds", "--k", "2", "--kmax", "100000000"])
+    assert (code, stdout) == (2, "")
+    assert only_manifest(stderr, 2)[0] == ["error: the table is limited to 10000 rows, got 99999999"]
+    monkeypatch.setattr(cli, "MAX_BOUNDS_ROWS", 3)
+    assert run_cli(capsys, ["bounds", "--k", "2", "--kmax", "4"])[0] == 0
+    code, stdout, stderr = run_cli(capsys, ["bounds", "--k", "2", "--kmax", "5"])
+    assert (code, stdout) == (2, "")
+    assert only_manifest(stderr, 2)[0] == ["error: the table is limited to 3 rows, got 4"]
 
 
 def test_cli_c2kfree_names_the_first_failed_property(capsys, tmp_path):
@@ -631,6 +643,196 @@ def test_help_and_usage_errors_read_as_the_whole_parser_gives_them(capsys, monke
         assert got[0] in (0, 2) and (got[0] == 0) == ("--help" in argv or "-h" in argv), argv
 
 
+# ------------------------------------------------------------
+# the plain-argv matcher, the manifest encoder and the digest
+# ------------------------------------------------------------
+
+# (command path, arguments) for every command in the table
+LEAVES = [
+    ([command, *([sub] if sub else [])], arguments)
+    for command, (_, subs) in cli._TABLE.items()
+    for sub, (_, _, arguments) in subs.items()
+]
+# a required group is a list of arguments, any other argument a (flag, keywords) pair
+MEMBERS = [member for _, arguments in LEAVES for a in arguments for member in (a if isinstance(a, list) else [a])]
+# every token the table names, and tokens that only argparse reads, or refuses
+TOKENS = sorted(
+    {token for path, _ in LEAVES for token in path}
+    | {flag for flag, _ in MEMBERS}
+    | {choice for _, keywords in MEMBERS for choice in keywords.get("choices", ())}
+    | {"-h", "--help", "--", "-", "", "-3", "٣", "３", "²", "1_0", "0x1", "Q", "graphs", "extra"}
+)
+hypothesis_settings = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+
+def value_of(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is int:
+        return st.integers(0, 10**30).map(str)
+    return st.text(max_size=8).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def plain_argvs(draw):
+    """An argv of the plain form: the command path, its positional, then each
+    required option, one of a required group and any others, in any order."""
+    path, arguments = draw(st.sampled_from(LEAVES))
+    positionals, options = [], []
+    for argument in arguments:
+        flag, keywords = draw(st.sampled_from(argument)) if isinstance(argument, list) else argument
+        if not flag.startswith("-"):
+            positionals.append(draw(value_of(keywords)))
+        elif keywords.get("required") or isinstance(argument, list) or draw(st.booleans()):
+            switch = keywords.get("action") == "store_true"
+            options.append([flag] if switch else [flag, draw(value_of(keywords))])
+    return path + positionals + [token for option in draw(st.permutations(options)) for token in option]
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A plain argv after up to three edits: a token dropped, repeated, moved,
+    inserted, abbreviated, joined to the next with "=", or negated."""
+    argv = draw(plain_argvs())
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("drop", "repeat", "move", "insert", "abbreviate", "join", "negate")))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(TOKENS) | st.text(max_size=4)))
+        elif at < len(argv):
+            token = argv[at]
+            if edit == "drop":
+                del argv[at]
+            elif edit == "repeat":
+                argv.insert(at, token)
+            elif edit == "move":
+                argv.insert(draw(st.integers(0, len(argv))), argv.pop(at))
+            elif edit == "abbreviate":
+                argv[at] = token[: draw(st.integers(0, len(token)))]
+            elif edit == "join" and at + 1 < len(argv):
+                argv[at: at + 2] = [f"{token}={argv[at + 1]}"]
+            elif edit == "negate":
+                argv[at] = "-" + token
+    return argv
+
+
+def by_handler_name(namespace):
+    values = vars(namespace)
+    return {**values, "handler": values["handler"].__name__}
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_plain_argv_reads_as_argparse_or_is_declined():
+    parser = cli._build_parser()
+
+    @hypothesis_settings
+    @given(plain_argvs())
+    def accepted(argv):
+        plain = cli._plain(argv)
+        assert plain is not None, argv
+        assert by_handler_name(plain) == by_handler_name(parser.parse_args(argv))
+
+    @hypothesis_settings
+    @given(mutated_argvs())
+    def accepted_or_declined(argv):
+        plain = cli._plain(argv)
+        if plain is not None:
+            # an argv that argparse refuses would end here in SystemExit
+            assert by_handler_name(plain) == by_handler_name(parser.parse_args(argv)), argv
+
+    accepted()
+    accepted_or_declined()
+
+
+def test_plain_argv_declines_what_only_argparse_reads():
+    for argv in (
+        ["-h"], ["bounds", "-h"], ["bounds", "--k=2"], ["bounds", "--k", "2", "--dec"],
+        ["bounds", "--k", "2", "--k", "3"], ["bounds", "--k", "-3"], ["bounds", "--k", "٣"],
+        ["bounds", "--k", "1_0"], ["bounds", "--k", "2", "extra"], ["bounds", "--k", "2", "--kmax"],
+        ["bounds", "--k", "1" * 5000],  # more digits than int() converts
+        ["search", "--n", "4", "H"], ["search", "Q", "--n", "4"], ["search", "H", "H", "--n", "4"],
+        ["construct", "plane", "--out", "x"], ["construct", "plane", "--q", "3", "--target-n", "14", "--out", "x"],
+        ["verify", "creating", "--k", "2", "--kind", "graphs", "--in", "x"], ["verify", "--k", "2"],
+        ["construct", "plane", "--q", "3", "--out", "-"], [], ["nosuch"], ["--k", "2"],
+    ):
+        assert cli._plain(argv) is None, argv
+
+
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_and_readme_argv_is_plain(tmp_path, monkeypatch):
+    bench = README.parent / "perfbench"
+    # the workloads import the benchmark's own oracles, not those of the tests
+    monkeypatch.setitem(sys.modules, "oracles", load(bench / "oracles.py"))
+    workloads = load(bench / "workloads.py")
+    argvs = [workloads.SETUP_JOB["argv"]] + [
+        job["argv"]
+        for name, build in workloads.WORKLOADS.items()
+        for job in build(random.Random(f"{name}/1"), tmp_path)
+    ]
+    argvs = [argv[2:] for argv in argvs if argv[:2] == workloads.CLI]
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## File formats")]
+    block = re.search(r"^```\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
+    argvs += [shlex.split(line)[1:] for line in block.splitlines()]
+    assert len(argvs) > 40
+    parser = cli._build_parser()
+    for argv in argvs:
+        plain = cli._plain(argv)
+        assert plain is not None, argv
+        assert by_handler_name(plain) == by_handler_name(parser.parse_args(argv))
+
+
+# text with quotes, backslashes, control and non-BMP characters, and the lone
+# surrogates that surrogateescape makes of argv bytes that are not UTF-8
+ANY_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028\U000100ff\U0001f600\ud800\udcff'),
+    max_size=12,
+)
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_manifest_line_is_json_dumps_with_sorted_keys():
+    digests = st.dictionaries(ANY_TEXT, st.text("0123456789abcdef", min_size=64, max_size=64), max_size=3)
+
+    @settings(hypothesis_settings, max_examples=150)
+    @given(st.fixed_dictionaries({
+        "command": st.none() | ANY_TEXT,
+        "parameters": st.dictionaries(ANY_TEXT, st.booleans() | st.integers() | ANY_TEXT, max_size=4),
+        "inputs": digests,
+        "outputs": digests,
+        "exit_code": st.none() | st.integers(-3, 3),
+        "wall_time_s": st.floats(min_value=0, allow_infinity=False).map(lambda t: round(t, 6)),
+        "version": ANY_TEXT,
+    }))
+    def check(manifest):
+        assert cli._encode(manifest) == json.dumps(manifest, sort_keys=True)
+
+    check()
+
+
+@pytest.mark.usefixtures("hypothesis_home")
+def test_digest_is_sha256_on_the_builtin_and_the_hashlib_route(monkeypatch):
+    @hypothesis_settings
+    @given(st.binary(max_size=300))
+    def check(data):
+        assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
+
+    check()
+    # without CPython's builtin modules (a FIPS build, say) the digest comes from hashlib
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    real, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or real(data))
+    check()
+    assert calls
+
+
 def test_cli_refuses_sizes_past_the_caps(capsys, tmp_path):
     # the permanent of a 27 x 27 matrix, and the q = 5 plane (m = 31) through both graph commands
     matrix = tmp_path / "ones.matrix"
@@ -782,6 +984,7 @@ def test_unbounded_requests_exit_2_under_an_address_space_limit(tmp_path):
          "the family is limited to ((n-1)/k)! * n <= 6894720 labels, got 1486356480"),
         (["verify", "creating", "--kind", "paths", "--k", "2", "--in", "/dev/zero"],
          "the input is limited to 67108864 bytes, got more in /dev/zero"),
+        (["bounds", "--k", "2", "--kmax", "100000000"], "the table is limited to 10000 rows, got 99999999"),
     ):
         done = subprocess.run(
             [sys.executable, "-m", "cyclecreate", *argv],
