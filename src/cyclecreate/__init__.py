@@ -26,8 +26,8 @@ _HOME = {
             "count_perfect_matchings permanent_naive permanent_ryser van_der_waerden_bound"
         ),
         "graphs": (
-            "FamilyReport HamPath PerfectMatching Permutation contains_cycle_of_length "
-            "enumerate_perfect_matchings_of is_creating is_reversing verify_pairwise_creating"
+            "FamilyReport HamPath PerfectMatching Permutation contains_cycle_of_length is_creating "
+            "enumerate_perfect_matchings_of is_reversing perm_to_matching verify_pairwise_creating"
         ),
         "hosts": "LabeledGraph bipartition girth",
         "reduction": (
@@ -37,7 +37,7 @@ _HOME = {
         "search": (
             "CompatibilityGraph build_compatibility_graph enumerate_ham_paths "
             "enumerate_perfect_matchings enumerate_permutations exact_h exact_m exact_rp "
-            "max_clique max_independent_set max_triangle_creating_paths perm_to_matching"
+            "max_clique max_independent_set max_triangle_creating_paths"
         ),
     }.items()
     for name in names.split()

@@ -12,7 +12,7 @@ permutations by reversing; _pair_test checks a family for its relation and
 hands out its pair test, to this module and the search module alike.
 
 Relabelling the vertices preserves cycles of every length.  So on a family
-of paths, matchings or permutations that its own relabellings move
+of paths, matchings or permutations (as matchings) that its relabellings move
 transitively, from member 0 to any member, every pair has the answer of some
 pair (0, j).  One test, _orbit_tree, decides that row 0 speaks for the whole
 family, for the all-pairs check here (see verify_pairwise_creating) and for
@@ -106,6 +106,16 @@ class Permutation(_Value):
         for pos, value in enumerate(self.images, start=1):
             inv[value - 1] = pos
         return tuple(inv)
+
+
+def _encoding(p: Permutation) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, m + p(i)) of p's matching, sorted, as i is each pair's smaller end."""
+    return tuple(enumerate((p.m + value for value in p.images), start=1))
+
+
+def perm_to_matching(p: Permutation) -> PerfectMatching:
+    """Encode a permutation of 1..m as the matching {(i, p(i) + m)} on 1..2m."""
+    return PerfectMatching(_encoding(p))
 
 
 def is_reversing(p1: Permutation, p2: Permutation) -> bool:
@@ -286,12 +296,6 @@ def _matching_images(first: tuple, target: tuple, matchings: Iterable[tuple]) ->
     return (tuple(sorted(map(edge.__getitem__, edges))) for edges in matchings)
 
 
-def _permutation_images(first: tuple, target: tuple, perms: Iterable[tuple]) -> Iterable[tuple]:
-    """Image tuples relabelled on values: tau = target . first^-1, and p goes to tau . p."""
-    tau = dict(zip(first, target)).__getitem__
-    return (tuple(map(tau, images)) for images in perms)
-
-
 def _matching_fixers(edges: tuple) -> tuple[tuple, ...]:
     """The other raw keys of the matching with sorted edge tuple `edges`: a
     swap inside pair 0, pairs 0 and 1 swapped, the pairs cycled.  As targets,
@@ -302,11 +306,11 @@ def _matching_fixers(edges: tuple) -> tuple[tuple, ...]:
 
 # Per kind, for _orbit_tree and _root_orbits: a member's raw key, the other
 # raw keys of the member whose key is given, and the images of raw keys.
-# Relabelling 1..n preserves creating, and relabelling values reversing.
+# Relabelling 1..n preserves creating, so reversing too on permutations' matchings (claim 7).
 _ORBIT_KINDS = {
     HamPath: (lambda path: path.order, lambda order: (order[::-1],), _path_images),
     PerfectMatching: (lambda m: tuple(sorted(m.edges)), _matching_fixers, _matching_images),
-    Permutation: (lambda perm: perm.images, lambda images: (), _permutation_images),
+    Permutation: (_encoding, _matching_fixers, _matching_images),
 }
 
 
@@ -326,11 +330,11 @@ def _orbit_tree(members: Sequence) -> dict[int, tuple[int, list[int]]] | None:
     The test is sound for all three kinds: a tree proves the family
     transitive.  It is also complete for paths, where a relabelling that
     takes path 0 onto path j reads j's order one way or the other, and for
-    permutations, where the value relabelling that takes p0 to pj is
-    unique.  For a matching it tries 4 of the 2^(n/2) (n/2)! relabellings
-    that take matching 0 to j, so None there only means "scan pair by
-    pair".  Every full enumeration of two or more members has a tree; fewer
-    than two members, graphs and families with a repeated member have none.
+    permutations under value relabellings, tried first and unique from p0 to
+    pj.  For a matching it tries 4 of the 2^(n/2) (n/2)! relabellings that
+    take matching 0 to j, so None there only means "scan pair by pair".
+    Every full enumeration of two or more members has a tree; fewer than two
+    members, graphs and families with a repeated member have none.
     """
     kind = _ORBIT_KINDS.get(type(members[0])) if len(members) > 1 else None
     if kind is None:
@@ -365,10 +369,10 @@ def _root_orbits(members: Sequence) -> list[int]:
     """Per member, the mask of its orbit under the group that the kept
     relabellings fixing member 0 generate, or [] if none is kept.
 
-    The relabellings are those that take member 0's raw key to its other raw
-    keys (see _ORBIT_KINDS), and one is kept only if it maps the family, of
-    one kind in _ORBIT_KINDS with distinct members, onto itself.  Each orbit
-    is one mask, shared by its members.
+    The relabellings take member 0's raw key to its other raw keys (see
+    _ORBIT_KINDS); one is kept only if it maps the family, of one kind with
+    distinct members, onto itself.  Each orbit is one mask, shared by its
+    members; on S_m, under p0's stabiliser, they are the cycle types of p0^-1 . q.
     """
     key, others, images = _ORBIT_KINDS[type(members[0])]
     keys = [key(member) for member in members]

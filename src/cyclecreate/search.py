@@ -50,6 +50,7 @@ from .graphs import (
     _pair_test,
     _root_orbits,
     enumerate_perfect_matchings_of,
+    perm_to_matching,  # still read as search.perm_to_matching
 )
 from .hosts import LabeledGraph, _Value
 
@@ -97,11 +98,6 @@ def enumerate_permutations(m: int) -> list[Permutation]:
             f"permutation enumeration is limited to m <= {MAX_PERMUTATION_SIZE}, got {m}"
         )
     return [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
-
-
-def perm_to_matching(p: Permutation) -> PerfectMatching:
-    """Encode a permutation of 1..m as the matching {(i, p(i) + m)} on 1..2m."""
-    return PerfectMatching((i, p(i) + p.m) for i in range(1, p.m + 1))
 
 
 # ============================================================

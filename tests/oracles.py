@@ -5,8 +5,13 @@ by trying every vertex subset and every cyclic order, cliques by trying every
 vertex subset, perfect matchings by trying every set of n/2 edges, reversals
 by the double loop straight from the definition, the union of two matchings
 by walking partners, bipartitions by colouring vertex by vertex, and plane
-incidences by testing every point-line pair.  Groups of relabellings are
-closed by composing their generators until nothing new appears, and families
+incidences by testing every point-line pair.  On hosts too large for the
+subset oracles, short cycles are found by growing every simple walk from
+edge lists, and bipartite perfect matchings are counted by the sets of
+partners that a prefix of one side can use.  The symplectic quadrangle W(2)
+is built from its form on F_2^4, and permutations are classed by the cycle
+type of p^-1 . q walked point by point.  Groups of relabellings are closed
+by composing their generators until nothing new appears, and families
 closed under them are built by relabelling members.
 """
 
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import Iterable
 
 from hypothesis import strategies as st
 
@@ -116,6 +122,71 @@ def plane_incidence_oracle(q: int) -> frozenset[tuple[int, int]]:
         for j, line in enumerate(reps)
         if sum(x * y for x, y in zip(point, line)) % q == 0
     )
+
+
+def symplectic_quadrangle_oracle() -> LabeledGraph:
+    """W(2), the Tutte 8-cage: its 15 points, the nonzero vectors of F_2^4 as
+    4-bit numbers x1 x2 x3 x4, are vertices 1..15 in increasing order, and
+    its 15 totally isotropic lines, the sets {x, y, x + y} on which the form
+    x1 y2 + x2 y1 + x3 y4 + x4 y3 vanishes, sorted, are vertices 16..30."""
+
+    def form(x, y):
+        return ((x >> 3 & y >> 2) ^ (x >> 2 & y >> 3) ^ (x >> 1 & y) ^ (x & y >> 1)) & 1
+
+    lines = sorted(
+        {tuple(sorted((x, y, x ^ y))) for x, y in itertools.permutations(range(1, 16), 2) if not form(x, y)}
+    )
+    return LabeledGraph(15 + len(lines), [(x, 16 + j) for j, line in enumerate(lines) for x in line])
+
+
+def neighbours_oracle(g: LabeledGraph) -> dict[int, list[int]]:
+    """Each vertex's neighbours in increasing order, read from the edge set."""
+    return {v: sorted(b if a == v else a for a, b in g.edges if v in (a, b)) for v in range(1, g.n + 1)}
+
+
+def cycle_lengths_oracle(g: LabeledGraph, longest: int) -> set[int]:
+    """The lengths, at most `longest`, of g's cycles: every simple walk of
+    up to `longest` vertices, grown one neighbour at a time from each start,
+    whose last vertex is a neighbour of its first."""
+    neighbours = neighbours_oracle(g)
+    lengths: set[int] = set()
+    walks = [(v,) for v in neighbours]
+    while walks and len(walks[0]) < longest:
+        walks = [walk + (u,) for walk in walks for u in neighbours[walk[-1]] if u not in walk]
+        lengths.update(len(walk) for walk in walks if len(walk) >= 3 and walk[0] in neighbours[walk[-1]])
+    return lengths
+
+
+def bipartite_matching_count_oracle(g: LabeledGraph, side: Iterable[int]) -> int:
+    """The perfect matchings of a bipartite graph with `side` one of its two
+    classes: each of side's vertices in turn takes a neighbour unused so far,
+    and the ways are counted per set of neighbours used."""
+    neighbours = neighbours_oracle(g)
+    ways = {frozenset(): 1}
+    for v in side:
+        grown: dict[frozenset, int] = {}
+        for used, count in ways.items():
+            for u in neighbours[v]:
+                if u not in used:
+                    grown[used | {u}] = grown.get(used | {u}, 0) + count
+        ways = grown
+    return sum(ways.values())
+
+
+def cycle_type_oracle(p: Permutation, q: Permutation) -> list[int]:
+    """The sorted cycle lengths of p^-1 . q, the map i -> the position of
+    q(i) in p's images, each cycle walked from its smallest point."""
+    where = {value: i for i, value in enumerate(p.images, start=1)}
+    seen: set[int] = set()
+    lengths = []
+    for start in range(1, len(p.images) + 1):
+        i, length = start, 0
+        while i not in seen:
+            seen.add(i)
+            i, length = where[q.images[i - 1]], length + 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths)
 
 
 def max_clique_oracle(adjacency, size: int) -> tuple[int, tuple[int, ...]]:

@@ -276,7 +276,7 @@ def test_criterion_08_independence_clique_product(checklist):
 def test_criterion_09_reversing_equivalence(checklist):
     with checklist(9, "reversing pairs coincide with 4-cycle creating matchings"):
         checked = 0
-        for m in (3, 4):
+        for m in (3, 4, 5):
             perms = enumerate_permutations(m)
             matchings = [perm_to_matching(p) for p in perms]
             for i, p1 in enumerate(perms):
@@ -285,7 +285,7 @@ def test_criterion_09_reversing_equivalence(checklist):
                         matchings[i], matchings[j], 4
                     ), (p1.images, p2.images)
                     checked += 1
-        assert checked == 612
+        assert checked == 15012
 
         perms = enumerate_permutations(3)
         best = 0

@@ -1,3 +1,5 @@
+import itertools
+from fractions import Fraction
 from math import factorial, inf
 
 import pytest
@@ -7,14 +9,23 @@ from cyclecreate.constructions import (
     MAX_LOWER_BOUND_LABELS,
     MAX_PLANE_ORDER,
     ValidationReport,
+    build_noncreating_family,
     choose_plane_order,
     lower_bound_family,
     projective_plane_incidence,
     validate_c2kfree_bipartite_regular,
 )
+from cyclecreate.counting import check_regular_matching_bound, count_perfect_matchings
 from cyclecreate.graphs import verify_pairwise_creating
 from cyclecreate.hosts import LabeledGraph, bipartition, girth
-from oracles import plane_incidence_oracle
+from cyclecreate.search import build_compatibility_graph
+from oracles import (
+    bipartite_matching_count_oracle,
+    cycle_lengths_oracle,
+    matching_union_components_oracle,
+    plane_incidence_oracle,
+    symplectic_quadrangle_oracle,
+)
 
 
 # ------------------------------------------------------------
@@ -212,3 +223,41 @@ def test_validator_forest_girth_is_infinite():
     # no vertices: regular of degree 0, not of an undefined degree
     report = validate_c2kfree_bipartite_regular(LabeledGraph(0), 2)
     assert report == ValidationReport(2, True, True, 0, inf, True)
+
+
+# ------------------------------------------------------------
+# a host for k = 3: the symplectic quadrangle W(2), the Tutte 8-cage
+# ------------------------------------------------------------
+
+def test_quadrangle_is_a_cubic_bipartite_host_of_girth_8():
+    g = symplectic_quadrangle_oracle()
+    assert g.n == 30 and len(g.edges) == 45 and set(g.degrees()) == {3}
+    assert bipartition(g) == (tuple(range(1, 16)), tuple(range(16, 31)))
+    # no cycle shorter than 8, by every simple walk of up to 8 vertices
+    assert cycle_lengths_oracle(g, 8) == {8}
+    assert girth(g) == 8
+    assert validate_c2kfree_bipartite_regular(g, 3) == ValidationReport(3, True, True, 3, 8, True)
+    assert validate_c2kfree_bipartite_regular(g, 4) == ValidationReport(4, True, True, 3, 8, False)
+
+
+def test_quadrangle_matchings_meet_the_regular_bound():
+    g = symplectic_quadrangle_oracle()
+    assert count_perfect_matchings(g) == bipartite_matching_count_oracle(g, range(1, 16)) == 288
+    report = check_regular_matching_bound(g)
+    assert (report.half_size, report.degree, report.count) == (15, 3, 288)
+    assert report.bound == Fraction(10461394944, 244140625)  # 3^15 15!/15^15
+    assert report.doubly_stochastic and report.passed
+
+
+def test_quadrangle_matchings_pairwise_create_no_6_cycle():
+    # the k = 3 analogue of acceptance criterion 7: two matchings of a host
+    # of girth 8 never create a 6-cycle
+    family = build_noncreating_family(symplectic_quadrangle_oracle(), 3)
+    assert len(family) == 288 and len(set(family)) == 288
+    assert build_compatibility_graph(family, 6).edge_count == 0
+    pairs = 0
+    for m1, m2 in itertools.combinations(family, 2):
+        # a union of two perfect matchings has degree at most 2, so a 6-cycle is a whole component
+        assert all(len(walk) != 6 for _, walk in matching_union_components_oracle(m1, m2))
+        pairs += 1
+    assert pairs == 41328

@@ -30,7 +30,7 @@ from cyclecreate.formats import (
 from cyclecreate.graphs import HamPath, PerfectMatching, Permutation, is_creating
 from cyclecreate.hosts import LabeledGraph
 from cyclecreate.search import enumerate_permutations, perm_to_matching
-from oracles import reversing_oracle
+from oracles import reversing_oracle, symplectic_quadrangle_oracle
 
 
 IDENTITY_12 = HamPath(tuple(range(1, 13)))
@@ -322,6 +322,17 @@ def test_cli_plane_and_c2kfree(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, ["verify", "c2kfree", "--k", "3", "--in", str(out)])
     assert code == 1
     assert "girth 6 is not greater than 6" in stdout
+
+
+def test_cli_reads_the_quadrangle_as_a_host_for_k_3(capsys, tmp_path):
+    host = tmp_path / "w2.graph"
+    host.write_text(format_graph(symplectic_quadrangle_oracle()))
+    code, stdout, _ = run_cli(capsys, ["verify", "c2kfree", "--k", "3", "--in", str(host)])
+    assert (code, stdout) == (0, "ok bipartite 3-regular girth 8\n")
+    code, stdout, _ = run_cli(capsys, ["verify", "c2kfree", "--k", "4", "--in", str(host)])
+    assert (code, stdout) == (1, "violation: girth 8 is not greater than 8\n")
+    code, stdout, _ = run_cli(capsys, ["check", "lemma6", "--in", str(host)])
+    assert (code, stdout) == (0, "ok 288 matchings >= bound 10461394944/244140625\n")
 
 
 def test_cli_c2kfree_on_the_empty_graph(capsys, tmp_path):

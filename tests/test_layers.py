@@ -131,13 +131,23 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
 
 
+# module -> the names it imports only so that they still resolve where they
+# were defined before they moved home: perm_to_matching moved to graphs
+MOVED = {"search": ["perm_to_matching"]}
+
+
 def test_modules_use_every_name_they_import():
-    # a public name has one home: only the package itself re-exports
+    # a public name has one home: only the package itself re-exports, and a
+    # moved name stays readable, as that same object, where it was
     sample = "from __future__ import annotations\nimport os.path\nfrom .graphs import a, b as c\nx: a\n"
     assert unused_imports(ast.parse(sample)) == ["c", "os"]
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem != "__init__":
-            assert unused_imports(ast.parse(path.read_text())) == [], path.stem
+            assert unused_imports(ast.parse(path.read_text())) == MOVED.get(path.stem, []), path.stem
+    for module, names in MOVED.items():
+        for name in names:
+            home = cyclecreate._HOME[name]
+            assert home != module and getattr(getattr(cyclecreate, module), name) is getattr(cyclecreate, name)
 
 
 def traced_names(tree: ast.Module) -> list[str]:

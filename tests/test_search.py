@@ -39,6 +39,7 @@ from cyclecreate.search import (
     perm_to_matching,
 )
 from oracles import (
+    cycle_type_oracle,
     fixed_lead_families,
     group_families,
     matching_union_components_oracle,
@@ -819,10 +820,20 @@ def test_certificate_work_counts(monkeypatch):
     # (5 orbits): 1,668 colorings where the plain step takes 13,667
     certified = colorings(monkeypatch, lambda: max_independent_set(m8))
     assert certified == 1753
-    # RP6 omega: "alpha >= 56?" never answers first, so the race costs the
-    # rival's colorings, 90 over the plain count-up's 8,014
+    # RP6 omega: the failing step "a clique of 12 through object 0" drops
+    # each refuted branch's orbit under the relabellings that fix p0, whose
+    # orbits are the 11 cycle types of p0^-1 . q: 214 colorings where the
+    # plain step takes 7,814.  "alpha >= 56?" never answers first, so the
+    # race costs the rival's colorings, 7 over the orbital count-up's 414
     rp6 = build_compatibility_graph(enumerate_permutations(6), "reversing")
-    assert colorings(monkeypatch, lambda: max_clique(rp6)) == 8104
+    assert colorings(monkeypatch, lambda: max_clique(rp6)) == 421
+    # shuffled RP5 alpha: "a coclique of 13 through object 0" fails in 34
+    # colorings over 7 root orbits, where the plain step takes 152, and the
+    # race costs 6
+    perms = enumerate_permutations(5)
+    random.Random(41008).shuffle(perms)
+    rp5 = build_compatibility_graph(perms, "reversing")
+    assert colorings(monkeypatch, lambda: max_independent_set(rp5)) == 188
     # the plain count-up is the search as it ran before the certificates and
     # the orbits
     plain_count_up(monkeypatch)
@@ -911,8 +922,15 @@ def test_root_orbits_are_the_classes_of_independent_oracles():
             reverse = dict(zip(order[0].order, reversed(order[0].order)))
             images = [index[HamPath(reverse[v] for v in path.order)] for path in order]
             assert _root_orbits(order) == [1 << i | 1 << j for i, j in enumerate(images)], n
-    # no relabelling that fixes a permutation is tried
-    assert _root_orbits(enumerate_permutations(4)) == []
+    # permutations, relabelled as their matchings: the positions swapped or
+    # cycled together with their values fix p0, and q and q' are in one
+    # orbit exactly when p0^-1 . q and p0^-1 . q' have the same cycle type
+    for m in (3, 4, 5, 6):
+        perms = enumerate_permutations(m)
+        for order in (perms, rng.sample(perms, len(perms))):
+            classes = [cycle_type_oracle(order[0], q) for q in order]
+            expected = [sum(1 << j for j, c in enumerate(classes) if c == mine) for mine in classes]
+            assert _root_orbits(order) == expected, m
 
 
 @pytest.mark.usefixtures("hypothesis_home")
