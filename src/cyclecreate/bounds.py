@@ -6,8 +6,8 @@ functions here return the exponents e as fractions.Fraction, never floats.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 # Orders with a known optimally dense construction (generalized polygons).
 SPECIAL_DEGREE_ORDERS = frozenset({2, 3, 5})
@@ -47,15 +47,10 @@ def path_upper_exponent(k: int) -> Fraction:
     return 1 - degree_exponent(k) / k
 
 
-class ExponentRow(NamedTuple):
+class ExponentRow(namedtuple("ExponentRow", "k cycle_length degree lower matching_upper path_upper")):
     """All exponents for one value of k, cycle length 2k."""
 
-    k: int
-    cycle_length: int
-    degree: Fraction
-    lower: Fraction
-    matching_upper: Fraction
-    path_upper: Fraction
+    __slots__ = ()
 
 
 def exponent_row(k: int) -> ExponentRow:

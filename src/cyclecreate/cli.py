@@ -23,10 +23,10 @@ import sys
 import time
 from _json import encode_basestring_ascii as _escape
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import __version__
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
     from fractions import Fraction

@@ -6,11 +6,12 @@ matching families of hosts that pass it."""
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import factorial, isqrt
-from typing import TYPE_CHECKING, NamedTuple
 
 from .hosts import MAX_VERTICES, LabeledGraph, bipartition, girth
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # graphs is loaded only to build a path or matching family
     from .graphs import HamPath, PerfectMatching
 
@@ -70,13 +71,13 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-class PlaneIncidence(NamedTuple):
-    """Point-line incidence graph of the projective plane of prime order q."""
+class PlaneIncidence(namedtuple("PlaneIncidence", "q graph points lines")):
+    """Point-line incidence graph of the projective plane of prime order q.
 
-    q: int
-    graph: LabeledGraph
-    points: tuple[int, ...]  # vertex labels 1..q^2+q+1
-    lines: tuple[int, ...]   # vertex labels q^2+q+2..2(q^2+q+1)
+    points are the vertex labels 1..q^2+q+1, lines q^2+q+2..2(q^2+q+1).
+    """
+
+    __slots__ = ()
 
 
 def projective_plane_incidence(q: int) -> PlaneIncidence:
@@ -147,15 +148,13 @@ def choose_plane_order(n_target: int) -> tuple[int, int]:
     raise AssertionError("unreachable: q = 2 always fits once n_target >= 14")
 
 
-class ValidationReport(NamedTuple):
-    """Outcome of the bipartite + regular + girth screen."""
+class ValidationReport(namedtuple("ValidationReport", "k is_bipartite is_regular degree girth passed")):
+    """Outcome of the bipartite + regular + girth screen.
 
-    k: int
-    is_bipartite: bool
-    is_regular: bool
-    degree: int | None
-    girth: int | float
-    passed: bool
+    degree is None when the graph is not regular, and girth is inf on a forest.
+    """
+
+    __slots__ = ()
 
 
 def validate_c2kfree_bipartite_regular(g: LabeledGraph, k: int) -> ValidationReport:

@@ -7,12 +7,14 @@ entries are rejected outright so no result is ever approximate.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import factorial, prod
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .hosts import LabeledGraph, _Value, bipartition
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # fractions is imported only where a Fraction is made or checked
     from fractions import Fraction
 
@@ -218,15 +220,12 @@ def van_der_waerden_bound(m: int) -> Fraction:
     return Fraction(factorial(m), m ** m)
 
 
-class MatchingBoundReport(NamedTuple):
+class MatchingBoundReport(
+    namedtuple("MatchingBoundReport", "half_size degree count bound doubly_stochastic passed")
+):
     """Matching count of a regular bipartite graph against r^m * m!/m^m."""
 
-    half_size: int
-    degree: int
-    count: int
-    bound: Fraction
-    doubly_stochastic: bool
-    passed: bool
+    __slots__ = ()
 
 
 def check_regular_matching_bound(g: LabeledGraph) -> MatchingBoundReport:

@@ -7,10 +7,11 @@ identical bytes.  Parsers are strict and name the first offending line.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .hosts import MAX_VERTICES, LabeledGraph
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # counting is loaded only to parse a matrix, graphs only to parse a family
     from .counting import BiadjacencyMatrix
     from .graphs import HamPath, PerfectMatching

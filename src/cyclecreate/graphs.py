@@ -22,8 +22,9 @@ the compatibility graphs and searches of the search module.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .hosts import LabeledGraph, _Graph, _normalize_edge, _Value
 
@@ -268,14 +269,17 @@ def enumerate_perfect_matchings_of(g: LabeledGraph) -> list[PerfectMatching]:
     return out
 
 
-class FamilyReport(NamedTuple):
-    """Outcome of an all-pairs creating (or reversing) check over one family."""
+class FamilyReport(
+    namedtuple("FamilyReport", "passed family_size cycle_length pair_count first_violation")
+):
+    """Outcome of an all-pairs creating (or reversing) check over one family.
 
-    passed: bool
-    family_size: int
-    cycle_length: int | str                  # the relation: "reversing" on permutations
-    pair_count: int                          # family_size * (family_size - 1) / 2
-    first_violation: tuple[int, int] | None  # 0-based member indices, scan order
+    cycle_length is the relation: an int, or "reversing" on permutations.
+    pair_count is family_size * (family_size - 1) / 2, and first_violation is
+    None or the 0-based member indices of the first failing pair, in scan order.
+    """
+
+    __slots__ = ()
 
 
 def _path_images(first: tuple, target: tuple, orders: Iterable[tuple]) -> Iterable[tuple]:

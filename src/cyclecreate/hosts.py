@@ -9,10 +9,10 @@ inputs always give the same answer.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from math import inf
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 # The cap on the n of a graph, paths or matchings file, and of a constructed
 # family: adjacency masks and the work on them grow with n squared.  The

@@ -4,16 +4,15 @@ property.  All steps are deterministic, with documented tie-breaks."""
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Hashable, Sequence
 from math import factorial
-from typing import NamedTuple, Sequence, TypeVar
 
 from .graphs import HamPath, PerfectMatching, _has_cycle_through
 from .hosts import LabeledGraph
 
-_Key = TypeVar("_Key")
 
-
-class AssociatedTriple(NamedTuple):
+class AssociatedTriple(namedtuple("AssociatedTriple", "n k classes")):
     """Three vertex-disjoint block classes cut out of a Hamiltonian path.
 
     A path on n = 3tk vertices is cut into n/k blocks of k consecutive
@@ -23,9 +22,7 @@ class AssociatedTriple(NamedTuple):
     orientation-sensitive, block-by-block equality.
     """
 
-    n: int
-    k: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
 
 
 def _check_size(n: int, k: int) -> None:
@@ -75,10 +72,10 @@ def triple_count(n: int, k: int) -> int:
     return partitions * orientations * colorings
 
 
-def _largest_group(keys: Sequence[_Key]) -> tuple[_Key, list[int]]:
+def _largest_group(keys: Sequence[Hashable]) -> tuple[Hashable, list[int]]:
     """The key shared by the most positions (ties: the smallest key) and those
     positions in input order."""
-    groups: dict[_Key, list[int]] = {}
+    groups: dict[Hashable, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     top = max(len(g) for g in groups.values())
@@ -101,13 +98,15 @@ def pigeonhole_largest_class(
     return [members[i] for i in kept], triples[kept[0]]
 
 
-class ReducedFamily(NamedTuple):
-    """Matchings kept by a reduction, relabeled onto the vertices it keeps."""
+class ReducedFamily(namedtuple("ReducedFamily", "matchings kept_indices removed label_map")):
+    """Matchings kept by a reduction, relabeled onto the vertices it keeps.
 
-    matchings: tuple[PerfectMatching, ...]
-    kept_indices: tuple[int, ...]            # 0-based indices into the input family
-    removed: tuple[int, ...]                 # the deleted vertices, original labels, ascending
-    label_map: tuple[tuple[int, int], ...]   # (original, new) pairs, ascending
+    kept_indices are 0-based indices into the input family; removed lists the
+    deleted vertices by original label and label_map the (original, new)
+    pairs, both ascending.
+    """
+
+    __slots__ = ()
 
 
 def _keep_and_relabel(edge_sets: Sequence[frozenset[tuple[int, int]]], n: int) -> ReducedFamily:

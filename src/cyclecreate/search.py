@@ -38,9 +38,9 @@ these root orbits once, and only they put its searches on this route.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .graphs import (
     HamPath,

@@ -8,18 +8,19 @@ by walking partners, bipartitions by colouring vertex by vertex, and plane
 incidences by testing every point-line pair.  On hosts too large for the
 subset oracles, short cycles are found by growing every simple walk from
 edge lists, and bipartite perfect matchings are counted by the sets of
-partners that a prefix of one side can use.  The symplectic quadrangle W(2)
-is built from its form on F_2^4, and permutations are classed by the cycle
-type of p^-1 . q walked point by point.  Groups of relabellings are closed
-by composing their generators until nothing new appears, and families
-closed under them are built by relabelling members.
+partners that a prefix of one side can use.  The symplectic quadrangles
+W(2) and W(3) are built from their forms on F_2^4 and F_3^4, and
+permutations are classed by the cycle type of p^-1 . q walked point by
+point.  Groups of relabellings are closed by composing their generators
+until nothing new appears, and families closed under them are built by
+relabelling members.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable
+from collections.abc import Iterable
 
 from hypothesis import strategies as st
 
@@ -137,6 +138,31 @@ def symplectic_quadrangle_oracle() -> LabeledGraph:
         {tuple(sorted((x, y, x ^ y))) for x, y in itertools.permutations(range(1, 16), 2) if not form(x, y)}
     )
     return LabeledGraph(15 + len(lines), [(x, 16 + j) for j, line in enumerate(lines) for x in line])
+
+
+def symplectic_quadrangle_3_oracle() -> LabeledGraph:
+    """W(3): its 40 points, the vectors of F_3^4 whose first nonzero
+    coordinate is 1, are vertices 1..40 in lexicographic order, and its 40
+    totally isotropic lines, each the sorted points of the span of a pair x, y
+    on which the form x1 y2 - x2 y1 + x3 y4 - x4 y3 vanishes mod 3, sorted,
+    are vertices 41..80."""
+
+    def normalized(v):
+        lead = next(c % 3 for c in v if c % 3)  # 1 or 2, each its own inverse mod 3
+        return tuple(c * lead % 3 for c in v)
+
+    def form(x, y):
+        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % 3
+
+    points = sorted({normalized(v) for v in itertools.product(range(3), repeat=4) if any(v)})
+    label = {v: i for i, v in enumerate(points, start=1)}
+    scalars = [(a, b) for a, b in itertools.product(range(3), repeat=2) if a or b]
+
+    def span(x, y):
+        return tuple(sorted({label[normalized([a * s + b * t for s, t in zip(x, y)])] for a, b in scalars}))
+
+    lines = sorted({span(x, y) for x, y in itertools.permutations(points, 2) if not form(x, y)})
+    return LabeledGraph(40 + len(lines), [(x, 41 + j) for j, line in enumerate(lines) for x in line])
 
 
 def neighbours_oracle(g: LabeledGraph) -> dict[int, list[int]]:

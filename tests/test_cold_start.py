@@ -143,8 +143,12 @@ def test_each_command_imports_only_the_modules_it_runs(command, workdir):
     # the inspect chain it pulls in, cost milliseconds of import on a cold start
     assert not {"pathlib", "dataclasses", "inspect"} & modules
     assert not FALLBACK_ONLY & modules
-    # a Fraction is made only for the exponents and lemma 6's bound
+    # a Fraction is made only for the exponents and lemma 6's bound; no
+    # command loads typing, and re and enum come only with fractions
     assert ("fractions" in modules) == (command in {"bounds", "check lemma6"})
+    assert "typing" not in modules
+    if "fractions" not in modules:
+        assert not {"re", "enum"} & modules
     if command == "count permanent":
         assert not {"graphs", "fractions"} & (loaded | modules)
     # host graphs are screened and counted without the path families' modules

@@ -24,6 +24,7 @@ from oracles import (
     cycle_lengths_oracle,
     matching_union_components_oracle,
     plane_incidence_oracle,
+    symplectic_quadrangle_3_oracle,
     symplectic_quadrangle_oracle,
 )
 
@@ -261,3 +262,22 @@ def test_quadrangle_matchings_pairwise_create_no_6_cycle():
         assert all(len(walk) != 6 for _, walk in matching_union_components_oracle(m1, m2))
         pairs += 1
     assert pairs == 41328
+
+
+# ------------------------------------------------------------
+# a host for k = 3 above the permanent's cap: the symplectic quadrangle W(3)
+# ------------------------------------------------------------
+
+def test_quadrangle_of_order_3_is_a_quartic_bipartite_host_of_girth_8():
+    g = symplectic_quadrangle_3_oracle()
+    assert g.n == 80 and len(g.edges) == 160 and set(g.degrees()) == {4}
+    assert bipartition(g) == (tuple(range(1, 41)), tuple(range(41, 81)))
+    assert cycle_lengths_oracle(g, 8) == {8}
+    assert girth(g) == 8
+    assert validate_c2kfree_bipartite_regular(g, 3) == ValidationReport(3, True, True, 4, 8, True)
+    assert validate_c2kfree_bipartite_regular(g, 4) == ValidationReport(4, True, True, 4, 8, False)
+    # each side has m = 40 vertices: the host passes the screen, but its
+    # matchings are not counted above the permanent's cap
+    for check in (check_regular_matching_bound, count_perfect_matchings):
+        with pytest.raises(ValueError, match=r"^the permanent is limited to m <= 26, got 40$"):
+            check(g)

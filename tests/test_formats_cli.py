@@ -30,7 +30,7 @@ from cyclecreate.formats import (
 from cyclecreate.graphs import HamPath, PerfectMatching, Permutation, is_creating
 from cyclecreate.hosts import LabeledGraph
 from cyclecreate.search import enumerate_permutations, perm_to_matching
-from oracles import reversing_oracle, symplectic_quadrangle_oracle
+from oracles import reversing_oracle, symplectic_quadrangle_3_oracle, symplectic_quadrangle_oracle
 
 
 IDENTITY_12 = HamPath(tuple(range(1, 13)))
@@ -333,6 +333,19 @@ def test_cli_reads_the_quadrangle_as_a_host_for_k_3(capsys, tmp_path):
     assert (code, stdout) == (1, "violation: girth 8 is not greater than 8\n")
     code, stdout, _ = run_cli(capsys, ["check", "lemma6", "--in", str(host)])
     assert (code, stdout) == (0, "ok 288 matchings >= bound 10461394944/244140625\n")
+
+
+def test_cli_passes_the_order_3_quadrangle_and_refuses_its_permanent(capsys, tmp_path):
+    host = tmp_path / "w3.graph"
+    host.write_text(format_graph(symplectic_quadrangle_3_oracle()))
+    code, stdout, _ = run_cli(capsys, ["verify", "c2kfree", "--k", "3", "--in", str(host)])
+    assert (code, stdout) == (0, "ok bipartite 4-regular girth 8\n")
+    for argv in (["check", "lemma6", "--in", str(host)], ["count", "matchings", "--in", str(host)]):
+        code, stdout, stderr = run_cli(capsys, argv)
+        assert (code, stdout) == (2, ""), argv
+        errors, manifest = only_manifest(stderr, 2)
+        assert errors == ["error: the permanent is limited to m <= 26, got 40"], argv
+        assert manifest["command"] == " ".join(argv[:2]) and list(manifest["inputs"]) == [str(host)]
 
 
 def test_cli_c2kfree_on_the_empty_graph(capsys, tmp_path):

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import itertools
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -168,6 +171,17 @@ def test_value_types_compare_hash_and_print_by_their_fields():
     assert len({LabeledGraph(2, [(1, 2)]), PerfectMatching([(1, 2)])}) == 2
 
 
+RECORD_HOMES = {
+    "FamilyReport": "cyclecreate.graphs",
+    "ExponentRow": "cyclecreate.bounds",
+    "PlaneIncidence": "cyclecreate.constructions",
+    "ValidationReport": "cyclecreate.constructions",
+    "MatchingBoundReport": "cyclecreate.counting",
+    "AssociatedTriple": "cyclecreate.reduction",
+    "ReducedFamily": "cyclecreate.reduction",
+}
+
+
 def test_records_are_named_tuples():
     # records compare, hash and unpack as the tuples of their fields
     graph = LabeledGraph(2, [(1, 2)])
@@ -196,6 +210,23 @@ def test_records_are_named_tuples():
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
         assert tuple(record) == fields, text
+        # and are named tuples otherwise: no instance dict, _asdict, and
+        # _replace and pickling that keep the type, in their own module with
+        # their own docstring
+        cls = type(record)
+        assert not hasattr(record, "__dict__")
+        assert tuple(record._asdict()) == record._fields
+        replaced = record._replace(**{record._fields[0]: fields[0]})
+        assert type(replaced) is cls and replaced == record
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls and copy == record
+        assert cls.__module__ == RECORD_HOMES[cls.__name__]
+        module = sys.modules[cls.__module__]
+        [node] = [
+            node for node in ast.parse(inspect.getsource(module)).body
+            if isinstance(node, ast.ClassDef) and node.name == cls.__name__
+        ]
+        assert inspect.cleandoc(cls.__doc__) == ast.get_docstring(node)
 
 
 # ------------------------------------------------------------

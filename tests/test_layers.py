@@ -120,6 +120,29 @@ def test_layer_check_sees_relative_and_absolute_imports():
     ]
 
 
+def absolute_imports(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules imported anywhere in the tree,
+    inside functions and guarded blocks too, less relative imports."""
+    tops = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            tops.add(node.module.split(".")[0])
+    return tops
+
+
+def test_no_module_imports_typing():
+    # records are collections.namedtuple classes and annotation names come
+    # from collections.abc: typing, with the re and enum it loads, would cost
+    # every command its import, and the cold-start probe sees only the
+    # branches a command runs
+    sample = "import os.path\nfrom . import graphs\ndef f():\n    from typing import Any\n"
+    assert absolute_imports(ast.parse(sample)) == {"os", "typing"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "typing" not in absolute_imports(ast.parse(path.read_text())), path.stem
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names the module imports but never reads."""
     bound = set()
